@@ -19,12 +19,25 @@ identity.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .group_core import GroupSpec
 from .polynomials import Polynomial, SmoothField
+from .quadrature import _evaluate, convolve
+
+
+def central_difference(g, h, order):
+    """4th-order central difference at 0 of the derivative of the given
+    order (1 or 2), where g(m) is the value at offset m * h."""
+    if order == 1:
+        return (-g(2) + 8 * g(1) - 8 * g(-1) + g(-2)) / (12 * h)
+    if order == 2:
+        return (-g(2) + 16 * g(1) - 30 * g(0) + 16 * g(-1)
+                - g(-2)) / (12 * h ** 2)
+    raise ValueError("the 4th-order stencil has derivative order 1 or 2")
 
 
 class InvariantField:
@@ -78,8 +91,7 @@ class InvariantField:
                 e = np.zeros(n)
                 e[k] = 1.0
                 step = h[..., None] * e
-                d = (-f(eta + 2 * step) + 8 * f(eta + step)
-                     - 8 * f(eta - step) + f(eta - 2 * step)) / (12 * h)
+                d = central_difference(lambda m: f(eta + m * step), h, 1)
                 total = total + p.eval(eta) * d
             if not np.all(np.isfinite(total)):
                 raise ValueError("non-finite values in derivative stencil")
@@ -88,14 +100,10 @@ class InvariantField:
         return out
 
 
-_FIELD_CACHE = {}
-
-
+@lru_cache(maxsize=1024)
 def build_field(spec: GroupSpec, side, j):
-    key = (id(spec), side, j)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = InvariantField(spec, side, j)
-    return _FIELD_CACHE[key]
+    """The field, shared by every spec equal to this one."""
+    return InvariantField(spec, side, j)
 
 
 class OperatorWord:
@@ -133,21 +141,17 @@ class OperatorWord:
         return f
 
     def as_callable(self, f):
+        """The word applied to f as a callable: exact when f is a
+        Polynomial or a SmoothField, nested finite differences otherwise."""
+        if isinstance(f, (Polynomial, SmoothField)):
+            return self.apply_symbolic(f)
         for field in reversed(self.fields):
             f = field.apply_fd(f)
         return f
 
     def apply(self, f, eta):
-        """Evaluate (word f)(eta): exact when f is Polynomial/SmoothField,
-        nested finite differences otherwise."""
-        eta = np.asarray(eta, dtype=float)
-        if isinstance(f, (Polynomial, SmoothField)):
-            return self.apply_symbolic(f).eval(eta)
-        return self.as_callable(f)(eta)
-
-
-def word(spec, kind, alpha):
-    return OperatorWord(spec, kind, alpha)
+        """Evaluate (word f)(eta)."""
+        return self.as_callable(f)(np.asarray(eta, dtype=float))
 
 
 def leibniz_tilde_coeff(beta, iota):
@@ -178,6 +182,12 @@ def multi_indices_upto(n, max_len):
         out.extend(b for b in nxt if b not in out)
         frontier = nxt
     return out
+
+
+def sub_multi_indices(alpha):
+    """All beta <= alpha componentwise, in the order of multi_indices_upto."""
+    return [b for b in multi_indices_upto(len(alpha), sum(alpha))
+            if all(x <= a for x, a in zip(b, alpha))]
 
 
 # -- Euclidean-operator expansion and conversion tables ---------------------
@@ -239,20 +249,21 @@ class ConversionTable:
         return ok
 
 
-_CONVERSION_CACHE = {}
-
-
 def build_conversion(spec: GroupSpec, alpha, max_order=3):
+    """The conversion table of tilde-Y^alpha, shared by every spec equal to
+    this one."""
+    alpha = tuple(int(a) for a in alpha)
+    if sum(alpha) > max_order:
+        raise ValueError("multi-index order exceeds configured maximum")
+    return _conversion_table(spec, alpha)
+
+
+@lru_cache(maxsize=256)
+def _conversion_table(spec, alpha):
     """Triangular elimination of the Euclidean expansion of tilde-Y^alpha
     against the expansions of the X^beta, in the order (weight ascending,
     length descending): subtracting q_gamma X^gamma only reintroduces terms
     strictly later in that order, so the sweep terminates."""
-    alpha = tuple(int(a) for a in alpha)
-    key = (id(spec), alpha)
-    if key in _CONVERSION_CACHE:
-        return _CONVERSION_CACHE[key]
-    if sum(alpha) > max_order:
-        raise ValueError("multi-index order exceeds configured maximum")
     remainder = euclidean_expansion(OperatorWord(spec, "Yt", alpha))
     table = {}
     guard = 0
@@ -275,9 +286,7 @@ def build_conversion(spec: GroupSpec, alpha, max_order=3):
     for beta in table:
         if sum(beta) > l_alpha or spec.mdeg(beta) < d_alpha:
             raise RuntimeError("conversion left the expected index set")
-    out = ConversionTable(spec, alpha, table)
-    _CONVERSION_CACHE[key] = out
-    return out
+    return ConversionTable(spec, alpha, table)
 
 
 # -- identity residuals -----------------------------------------------------
@@ -305,9 +314,7 @@ def fundlink_constants(spec, alpha):
     table = build_conversion(spec, alpha)
     out = {}
     for beta, q in table.table.items():
-        for iota in multi_indices_upto(spec.n, sum(beta)):
-            if any(i > b for i, b in zip(iota, beta)):
-                continue
+        for iota in sub_multi_indices(beta):
             lam = leibniz_tilde_coeff(beta, iota)
             if lam == 0:
                 continue
@@ -353,17 +360,11 @@ def integrate_by_parts_residual(spec, kind, alpha, f, g, grid,
     wf = OperatorWord(spec, kind, alpha)
     wg = OperatorWord(spec, pairs[kind], alpha)
     sgn = (-1) ** sum(alpha)
-    lhs = np.sum(wf.apply(f, grid.points) * _vals(g, grid.points)
+    lhs = np.sum(wf.apply(f, grid.points) * _evaluate(g, grid.points)
                  * grid.weights)
-    rhs = sgn * np.sum(_vals(f, grid.points) * wg.apply(g, grid.points)
+    rhs = sgn * np.sum(_evaluate(f, grid.points) * wg.apply(g, grid.points)
                        * grid.weights)
     return float(abs(lhs - rhs)) * float(calibration)
-
-
-def _vals(f, pts):
-    if isinstance(f, (Polynomial, SmoothField)):
-        return f.eval(pts)
-    return np.asarray(f(pts), dtype=float)
 
 
 def convolution_identity_residuals(spec, alpha, f, g, grid, etas,
@@ -372,23 +373,13 @@ def convolution_identity_residuals(spec, alpha, f, g, grid, etas,
         X^a (f*g) = f * (X^a g),      Y^a (f*g) = (Y^a f) * g,
         (X^a f) * g = f * (Yt^a g),   (Xt^a f) * g = f * (Y^a g),
     evaluated at the points etas."""
-    from .quadrature import convolve
-
     etas = np.asarray(etas, dtype=float)
 
     def conv(a, b):
-        fa = (lambda p: a.eval(p)) if isinstance(a, (Polynomial, SmoothField)) \
-            else a
-        fb = (lambda p: b.eval(p)) if isinstance(b, (Polynomial, SmoothField)) \
-            else b
-        return lambda e: convolve(spec, fa, fb, e, grid, calibration)
+        return lambda e: convolve(spec, a, b, e, grid, calibration)
 
     def word_of(kind, h):
-        w = OperatorWord(spec, kind, alpha)
-        if isinstance(h, (Polynomial, SmoothField)):
-            out = w.apply_symbolic(h)
-            return lambda p: out.eval(p)
-        return w.as_callable(h)
+        return OperatorWord(spec, kind, alpha).as_callable(h)
 
     fg = conv(f, g)
     res = {}

@@ -2,14 +2,13 @@
 
 Subcommands: group check | calculus identities | quad irs | kernel certify
 | extend run | weakl1 run | covering demo.  Every subcommand accepts
---dry-run, --seed, --threads, and writes a machine-readable summary JSON
+--dry-run and --seed, and writes a machine-readable summary JSON
 next to its main artifact.  Exit status: 0 all checks pass, 1 input error,
 2 check failure.
 """
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -39,12 +38,11 @@ class ExperimentConfig:
     out: str = None
     fmt: str = "csv"
     seed: int = 0
-    threads: int = 1
 
     def plan(self):
         return {"command": self.command, "inputs": self.inputs,
                 "params": self.params, "out": self.out, "format": self.fmt,
-                "seed": self.seed, "threads": self.threads}
+                "seed": self.seed}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -232,7 +230,7 @@ def run(cfg: ExperimentConfig, dry_run=False, stream=None):
         json.dump(cfg.plan(), stream, indent=2)
         stream.write("\n")
         return 0
-    meta = metadata(cfg.seed, cfg.threads, cfg.plan())
+    meta = metadata(cfg.seed, cfg.plan())
     summary_path = (cfg.out or cfg.command.replace(" ", "-")) \
         + ".summary.json"
     try:
@@ -269,7 +267,6 @@ def build_parser():
         q = p._nested.add_parser(name)
         q.add_argument("--dry-run", action="store_true")
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--threads", type=int, default=1)
         return q
     leaf.tops = {}
 
@@ -329,7 +326,6 @@ def build_parser():
 
 def config_from_args(args):
     command = f"{args.group_cmd} {args.sub_cmd}"
-    threads = int(os.environ.get("NILH_THREADS", args.threads))
     inputs, params = {}, {}
     if command == "group check":
         inputs["spec"] = args.spec
@@ -366,8 +362,7 @@ def config_from_args(args):
     else:  # pragma: no cover - argparse enforces the tree
         raise InputError(f"unknown command {command}")
     return ExperimentConfig(command=command, inputs=inputs, params=params,
-                            out=out, fmt=_fmt_of(out), seed=args.seed,
-                            threads=threads)
+                            out=out, fmt=_fmt_of(out), seed=args.seed)
 
 
 def main(argv=None):

@@ -17,11 +17,12 @@ from __future__ import annotations
 import numpy as np
 import sympy
 
-from .calculus import OperatorWord, build_field, leibniz_tilde_coeff
+from .calculus import OperatorWord, build_field, leibniz_tilde_coeff, \
+    multi_indices_upto, sub_multi_indices
 from .group_core import GroupSpec, HomogeneousNorm
-from .kernels import KernelSpec, dilated_field
+from .kernels import KernelSpec, _sweep_points, dilated_field
 from .polynomials import Polynomial, Profile, SmoothField
-from .quadrature import Grid, check_map, convolve
+from .quadrature import Grid, _evaluate, _grading_for, check_map, convolve
 
 
 def weight_field(norm: HomogeneousNorm, mu):
@@ -69,13 +70,6 @@ def scale_derivative_field(kernel: KernelSpec, a):
                                           float(a) ** -float(spec.Q)))
 
 
-def sub_multi_indices(alpha):
-    out = [()]
-    for a in alpha:
-        out = [t + (i,) for t in out for i in range(a + 1)]
-    return out
-
-
 class TestFunction:
     """Smooth test function with a decay-class tag:
     'schwartz-like', 'B' (bounded with bounded derivatives), or 'Bdot'
@@ -90,30 +84,23 @@ class TestFunction:
         self.spec, self.func, self.tag = spec, func, tag
 
     def eval(self, eta):
-        f = self.func
-        if isinstance(f, (Polynomial, SmoothField)):
-            return f.eval(eta)
-        return np.asarray(f(np.asarray(eta, dtype=float)), dtype=float)
+        return _evaluate(self.func, eta)
 
     __call__ = eval
 
     def word_callable(self, kind, alpha):
-        w = OperatorWord(self.spec, kind, alpha)
-        if isinstance(self.func, (Polynomial, SmoothField)):
-            d = w.apply_symbolic(self.func)
-            return lambda p: d.eval(p)
-        return w.as_callable(self.eval)
+        return OperatorWord(self.spec, kind, alpha).as_callable(self.func)
 
     def certify(self, norm: HomogeneousNorm, radius=100.0, n_dirs=16,
                 n_radii=25, max_weight=2, seed=0):
         """Sampled sup of |X^alpha phi| on three nested gauge annuli; B
         requires finite sups stable under doubling, Bdot additionally a
         decreasing outer profile of |phi| itself."""
-        from .kernels import _sweep_points, _alphas_up_to_weight
-
         report = {"tag": self.tag, "ok": True, "sups": {}}
         shells = [radius / 4, radius, 4 * radius]
-        for alpha in _alphas_up_to_weight(self.spec, max_weight):
+        for alpha in multi_indices_upto(self.spec.n, int(max_weight)):
+            if self.spec.mdeg(alpha) > max_weight:
+                continue
             f = self.word_callable("X", alpha)
             sups = []
             for rad in shells:
@@ -158,9 +145,23 @@ class DistributionRep:
         """||f_alpha||_1 per term — finiteness is the membership invariant."""
         out = {}
         for alpha, f in self.terms:
-            vals = np.abs(_dvals(f, grid.points))
+            vals = np.abs(_evaluate(f, grid.points))
             out[alpha] = float(np.sum(vals * grid.weights) * calibration)
         return out
+
+    def leibniz_terms(self):
+        """The Leibniz expansion of the weight against each term: yields
+        (alpha, beta, f, lambda(alpha, beta), Xt^{alpha-beta} omega) for
+        every term (alpha, f) and beta <= alpha.  With mu = 0 the weight is
+        constant, so every beta < alpha term vanishes and is skipped."""
+        for alpha, f in self.terms:
+            for beta in sub_multi_indices(alpha):
+                diff = tuple(a - b for a, b in zip(alpha, beta))
+                if self.mu == 0.0 and sum(diff) > 0:
+                    continue
+                wd = OperatorWord(self.spec, "Xt",
+                                  diff).apply_symbolic(self._weight)
+                yield alpha, beta, f, leibniz_tilde_coeff(alpha, beta), wd
 
     def normal_form(self):
         """The same distribution as sum_beta X^beta g_beta, with the weight
@@ -169,31 +170,23 @@ class DistributionRep:
         X^beta [ (Xt^{alpha-beta} omega) f ].
         Returns {beta: callable g_beta}; each g_beta is omega-bounded times
         the f's, hence has finite L^1(omega_{-mu}) norm when f in L^1."""
-        pieces = {}
-        for alpha, f in self.terms:
-            for beta in sub_multi_indices(alpha):
-                lam = leibniz_tilde_coeff(alpha, beta)
-                diff = tuple(a - b for a, b in zip(alpha, beta))
-                sign = (-1) ** (sum(alpha) - sum(beta))
-                wd = OperatorWord(self.spec, "Xt",
-                                  diff).apply_symbolic(self._weight)
-                pieces.setdefault(beta, []).append((sign * lam, wd, f))
+        # every beta <= alpha keeps its g_beta, identically 0 when mu = 0
+        # drops all of its pieces
+        pieces = {beta: [] for alpha, _ in self.terms
+                  for beta in sub_multi_indices(alpha)}
+        for alpha, beta, f, lam, wd in self.leibniz_terms():
+            sign = (-1) ** (sum(alpha) - sum(beta))
+            pieces[beta].append((sign * lam, wd, f))
         out = {}
         for beta, plist in pieces.items():
             def g(eta, plist=plist):
                 eta = np.asarray(eta, dtype=float)
                 acc = np.zeros(eta.shape[:-1])
                 for c, wd, f in plist:
-                    acc = acc + c * wd.eval(eta) * _dvals(f, eta)
+                    acc = acc + c * wd.eval(eta) * _evaluate(f, eta)
                 return acc
             out[beta] = g
         return out
-
-
-def _dvals(f, pts):
-    if isinstance(f, (Polynomial, SmoothField)):
-        return f.eval(pts)
-    return np.asarray(f(np.asarray(pts, dtype=float)), dtype=float)
 
 
 def pair(T: DistributionRep, phi: TestFunction, grid: Grid, calibration=1.0):
@@ -214,7 +207,7 @@ def pair_unweighted(T: DistributionRep, phi: TestFunction, grid: Grid,
     total = 0.0
     for alpha, f in T.terms:
         dphi = phi.word_callable("Xt", alpha)
-        vals = _dvals(f, grid.points) * dphi(grid.points)
+        vals = _evaluate(f, grid.points) * dphi(grid.points)
         total += (-1) ** sum(alpha) * float(np.sum(vals * grid.weights))
     return total * calibration
 
@@ -233,28 +226,20 @@ def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
     w = grid.flat_weights * calibration
     out = np.zeros(len(etas))
     step = max(1, chunk // len(xi))
-    for alpha, f in T.terms:
-        fvals = _dvals(f, xi)
+    for alpha, beta, f, lam, wd in T.leibniz_terms():
         sign = (-1) ** sum(alpha)
-        for beta in sub_multi_indices(alpha):
-            lam = leibniz_tilde_coeff(alpha, beta)
-            diff = tuple(a - b for a, b in zip(alpha, beta))
-            if T.mu == 0.0 and sum(diff) > 0:
-                continue  # the weight is constant: every beta < alpha dies
-            wd = OperatorWord(spec, "Xt", diff).apply_symbolic(T.weight())
-            kd = OperatorWord(spec, "Xt",
-                              beta).apply_symbolic(psi_check_field)
-            if iota is not None and sum(iota) > 0:
-                # X^iota in eta of F(eta^{-1} xi) is ((X^iota F-check)-check)
-                # at the same argument
-                kd = OperatorWord(spec, "X", iota).apply_symbolic(
-                    kd.negate_coords()).negate_coords()
-            inner = fvals * wd.eval(xi)
-            for i0 in range(0, len(etas), step):
-                e = etas[i0:i0 + step, None, :]
-                arg = spec.multiply(-e, xi[None, :, :])
-                out[i0:i0 + step] += sign * lam * (
-                    (inner[None, :] * kd.eval(arg)) @ w)
+        kd = OperatorWord(spec, "Xt", beta).apply_symbolic(psi_check_field)
+        if iota is not None and sum(iota) > 0:
+            # X^iota in eta of F(eta^{-1} xi) is ((X^iota F-check)-check)
+            # at the same argument
+            kd = OperatorWord(spec, "X", iota).apply_symbolic(
+                kd.negate_coords()).negate_coords()
+        inner = _evaluate(f, xi) * wd.eval(xi)
+        for i0 in range(0, len(etas), step):
+            e = etas[i0:i0 + step, None, :]
+            arg = spec.multiply(-e, xi[None, :, :])
+            out[i0:i0 + step] += sign * lam * (
+                (inner[None, :] * kd.eval(arg)) @ w)
     return out[0] if single else out.reshape(eta.shape[:-1])
 
 
@@ -278,8 +263,6 @@ def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
     while the densities are pulled back, so one graded zeta-grid resolves
     every scale a.  The zeta box extends (span/a)^{d_k} per axis, which
     covers any density supported in a euclidean box of size ~span."""
-    from .quadrature import _grading_for
-
     if abs(T.Gamma - kernel.Gamma) > 1e-12:
         raise ValueError("distribution and kernel carry different Gamma")
     if a <= 0:
@@ -300,26 +283,17 @@ def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
     pk_check = kernel.field.negate_coords()
     out = np.zeros(len(etas))
     step = max(1, 2 ** 20 // len(zeta))
-    for alpha, f in T.terms:
+    for alpha, beta, f, lam, wd in T.leibniz_terms():
         sign = (-1) ** sum(alpha)
-        for beta in sub_multi_indices(alpha):
-            lam = leibniz_tilde_coeff(alpha, beta)
-            diff = tuple(x - y for x, y in zip(alpha, beta))
-            if T.mu == 0.0 and sum(diff) > 0:
-                continue  # the weight is constant: every beta < alpha dies
-            wd = OperatorWord(spec, "Xt", diff).apply_symbolic(T.weight())
-            kd = OperatorWord(spec, "Xt", beta).apply_symbolic(pk_check)
-            db = float(sum(b * float(d)
-                           for b, d in zip(beta, spec.weights)))
-            kvals = kd.eval(zeta) * wz
-            for i0 in range(0, len(etas), step):
-                xi = spec.multiply(etas[i0:i0 + step, None, :],
-                                   dz[None, :, :])
-                inner = _dvals(f, xi)
-                if T.mu != 0.0:  # else the weight is identically 1
-                    inner = inner * wd.eval(xi)
-                out[i0:i0 + step] += (sign * lam * a ** (-db)
-                                      * (inner @ kvals))
+        kd = OperatorWord(spec, "Xt", beta).apply_symbolic(pk_check)
+        db = float(sum(b * float(d) for b, d in zip(beta, spec.weights)))
+        kvals = kd.eval(zeta) * wz
+        for i0 in range(0, len(etas), step):
+            xi = spec.multiply(etas[i0:i0 + step, None, :], dz[None, :, :])
+            inner = _evaluate(f, xi)
+            if T.mu != 0.0:  # else the weight is identically 1
+                inner = inner * wd.eval(xi)
+            out[i0:i0 + step] += sign * lam * a ** (-db) * (inner @ kvals)
     return out[0] if single else out.reshape(eta.shape[:-1])
 
 
@@ -350,13 +324,10 @@ def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, a=1.0,
         phi * P_a-check >= c omega_{-Q-Gamma}: the measured ratio is
         bounded away from 0, stably.
     """
-    from .kernels import _sweep_points, _alphas_up_to_weight
-
     spec, norm = kernel.spec, kernel.norm
     w_plus = weight_field(norm, float(spec.Q) + kernel.Gamma)
     w_minus = weight_field(norm, -float(spec.Q) - kernel.Gamma)
-    pk_check = check_map(spec, lambda p: np.asarray(
-        dilated_field(kernel, a).eval(p)))
+    pk_check = check_map(spec, dilated_field(kernel, a))
 
     def conv_phi(p):
         return convolve(spec, phi, pk_check, p, grid, calibration)
@@ -369,7 +340,9 @@ def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, a=1.0,
     # the tail
     core = _sweep_points(norm, 4.0, n_dirs, 2 * n_radii, seed)
     report = {"bounded_derivatives": {}, "ok_a": True, "ok_b": True}
-    for alpha in _alphas_up_to_weight(spec, 2):
+    for alpha in multi_indices_upto(spec.n, 2):
+        if spec.mdeg(alpha) > 2:
+            continue
         word = OperatorWord(spec, "X", alpha)
         sups = []
         for rad in (radius, 2 * radius):

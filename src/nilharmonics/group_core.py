@@ -12,7 +12,6 @@ functions ``omega_mu`` built from a fixed polynomial bridge.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,11 @@ def _lcm(nums):
     for v in nums:
         out = out * v // math.gcd(out, v)
     return out
+
+
+def tensor_grid(axes):
+    """All points of the tensor product of 1-D axes, shape (*lens, n)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,13 @@ class GroupSpec:
             struct.append(((k, alpha, beta), Fraction(c)))
         struct.sort(key=lambda item: (w[item[0][0]], item[0]))
         object.__setattr__(self, "structure", tuple(struct))
+        # the law compiled once for multiply: float coefficient and the
+        # nonzero (coordinate, power) factors of eta and of xi; not a
+        # field, so eq, hash, repr and to_json see only the exact form
+        object.__setattr__(self, "_law", tuple(
+            (k, float(c), tuple((j, p) for j, p in enumerate(alpha) if p),
+             tuple((j, p) for j, p in enumerate(beta) if p))
+            for (k, alpha, beta), c in struct))
 
     @property
     def n(self):
@@ -91,14 +102,12 @@ class GroupSpec:
         if eta.shape[-1] != self.n or xi.shape[-1] != self.n:
             raise ValueError(f"expected coordinate vectors of length {self.n}")
         out = eta + xi  # a fresh array: the in-place adds never reach eta, xi
-        for (k, alpha, beta), c in self.structure:
+        for k, term, eta_pows, xi_pows in self._law:
             # alpha and beta are both nonzero, so term spans the batch
             # shape of out
-            term = float(c)
-            for x, exps in ((eta, alpha), (xi, beta)):
-                for j, p in enumerate(exps):
-                    if p:
-                        term = term * (x[..., j] if p == 1 else x[..., j] ** p)
+            for x, pows in ((eta, eta_pows), (xi, xi_pows)):
+                for j, p in pows:
+                    term = term * (x[..., j] if p == 1 else x[..., j] ** p)
             out[..., k] += term
         return out
 
@@ -149,15 +158,6 @@ class GroupSpec:
                       Fraction(s["c"])) for s in data.get("structure", [])]
         return cls(name=data.get("name", "unnamed"), weights=weights,
                    structure=structure)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 # -- builders ---------------------------------------------------------------
@@ -214,9 +214,11 @@ class HomogeneousNorm:
             self.M = 2
         elif variant == "even-power":
             # choose M so that 2M/d_k is an even integer for every k
-            dens = [d.denominator for d in spec.weights]
-            nums = [d.numerator for d in spec.weights]
-            self.M = _lcm(nums)
+            self.M = _lcm(d.numerator for d in spec.weights)
+            powers = [Fraction(2 * self.M) / d for d in spec.weights]
+            assert all(p.denominator == 1 and p.numerator % 2 == 0
+                       for p in powers)
+            self.powers = tuple(p.numerator for p in powers)
         else:
             raise ValueError(f"unknown norm variant {variant!r}")
         self._calibration = None
@@ -232,10 +234,8 @@ class HomogeneousNorm:
             x, y, t = (Polynomial.coordinate(3, k) for k in range(3))
             return (x * x + y * y) * (x * x + y * y) + 16 * (t * t)
         poly = Polynomial.zero(n)
-        for k, d in enumerate(self.spec.weights):
-            p = Fraction(2 * self.M) / d
-            assert p.denominator == 1 and p.numerator % 2 == 0
-            poly = poly + Polynomial(n, {tuple(int(k == j) * p.numerator
+        for k, p in enumerate(self.powers):
+            poly = poly + Polynomial(n, {tuple(int(k == j) * p
                                                for j in range(n)): 1})
         return poly
 
@@ -245,8 +245,7 @@ class HomogeneousNorm:
             x, y, t = eta[..., 0], eta[..., 1], eta[..., 2]
             return ((x * x + y * y) ** 2 + 16 * t * t) ** 0.25
         acc = np.zeros(eta.shape[:-1])
-        for k, d in enumerate(self.spec.weights):
-            p = int(2 * self.M / d)
+        for k, p in enumerate(self.powers):
             acc = acc + eta[..., k] ** p
         return acc ** (1.0 / (2 * self.M))
 
@@ -272,9 +271,7 @@ class HomogeneousNorm:
             ext = np.array([self._axis_extent(k, 1.0) for k in range(self.n)])
             axes = [np.linspace(-ext[k], ext[k], resolution)
                     for k in range(self.n)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack(mesh, axis=-1)
-            inside = self(pts) <= 1.0
+            inside = self(tensor_grid(axes)) <= 1.0
             cell = np.prod([ax[1] - ax[0] for ax in axes])
             vol = float(inside.sum()) * cell
             self._calibration = 1.0 / vol

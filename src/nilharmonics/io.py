@@ -200,8 +200,7 @@ def write_json(obj, path):
         fh.write("\n")
 
 
-def metadata(seed, threads, config):
+def metadata(seed, config):
     canon = json.dumps(jsonable(config), sort_keys=True)
     return {"version": __version__, "seed": int(seed),
-            "threads": int(threads),
             "config-hash": hashlib.sha256(canon.encode()).hexdigest()}

@@ -22,7 +22,8 @@ from math import gamma as gamma_fn, pi, sqrt
 
 import numpy as np
 
-from .calculus import OperatorWord, build_conversion
+from .calculus import OperatorWord, build_conversion, central_difference, \
+    multi_indices_upto
 from .group_core import GroupSpec, HomogeneousNorm, WeightFunction, abelian
 from .polynomials import Polynomial, Profile, SmoothField
 import sympy
@@ -82,10 +83,6 @@ class KernelSpec:
                               self.norm)
 
 
-def eval_kernel(kernel: KernelSpec, eta):
-    return kernel(eta)
-
-
 def dilate_kernel(kernel: KernelSpec, a, eta):
     """P_a(eta) = a^{-Q} P(delta_{1/a} eta): mass-preserving dilation."""
     if a <= 0:
@@ -111,17 +108,8 @@ def scale_derivative(kernel: KernelSpec, k, a, eta, rel_step=1e-3):
         return dilate_kernel(kernel, a, eta)
     h = rel_step
     s0 = np.log(a)
-
-    def at(s):
-        return dilate_kernel(kernel, np.exp(s), eta)
-
-    if k == 1:
-        return (-at(s0 + 2 * h) + 8 * at(s0 + h) - 8 * at(s0 - h)
-                + at(s0 - 2 * h)) / (12 * h)
-    if k == 2:
-        return (-at(s0 + 2 * h) + 16 * at(s0 + h) - 30 * at(s0)
-                + 16 * at(s0 - h) - at(s0 - 2 * h)) / (12 * h ** 2)
-    raise ValueError("scale-derivative order must be <= 2")
+    return central_difference(
+        lambda m: dilate_kernel(kernel, np.exp(s0 + m * h), eta), h, k)
 
 
 def _sweep_points(norm: HomogeneousNorm, radius, n_dirs, n_radii, seed=0):
@@ -184,8 +172,8 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
     record("comparability_lower", comparability_lower)
 
     # (ii) left-invariant derivative bounds, exact symbolic derivatives
-    alphas = [a for a in _alphas_up_to_weight(spec, max_alpha_weight)
-              if sum(a) > 0]
+    alphas = [a for a in multi_indices_upto(spec.n, int(max_alpha_weight))
+              if 0 < spec.mdeg(a) <= max_alpha_weight]
     for alpha in alphas:
         d_alpha = float(spec.mdeg(alpha))
         wa = kernel.weight(extra=d_alpha)
@@ -247,21 +235,6 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
     return report
 
 
-def _alphas_up_to_weight(spec, max_weight):
-    out = [tuple(0 for _ in range(spec.n))]
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for j in range(spec.n):
-                b = tuple(v + int(m == j) for m, v in enumerate(a))
-                if spec.mdeg(b) <= max_weight and b not in out:
-                    out.append(b)
-                    nxt.append(b)
-        frontier = nxt
-    return out
-
-
 def harmonicity_residual(kernel: KernelSpec, x_points, a_points, h=1e-3):
     """Max over the (x, a) grid of a^2 |Delta_{x,a} P_a(x)|, 4th-order FD.
 
@@ -278,21 +251,14 @@ def harmonicity_residual(kernel: KernelSpec, x_points, a_points, h=1e-3):
     n = kernel.spec.n
     worst = 0.0
     for a in a_points:
-        def P(x, aa=a):
-            return dilate_kernel(kernel, aa, x)
-
         lap = np.zeros(x_points.shape[:-1])
         for k in range(n):
             e = np.zeros(n)
             e[k] = h
-            lap += (-P(x_points + 2 * e) + 16 * P(x_points + e)
-                    - 30 * P(x_points) + 16 * P(x_points - e)
-                    - P(x_points - 2 * e)) / (12 * h ** 2)
+            lap += central_difference(
+                lambda m: dilate_kernel(kernel, a, x_points + m * e), h, 2)
         ha = h * a
-        lap += (-dilate_kernel(kernel, a + 2 * ha, x_points)
-                + 16 * dilate_kernel(kernel, a + ha, x_points)
-                - 30 * dilate_kernel(kernel, a, x_points)
-                + 16 * dilate_kernel(kernel, a - ha, x_points)
-                - dilate_kernel(kernel, a - 2 * ha, x_points)) / (12 * ha ** 2)
+        lap += central_difference(
+            lambda m: dilate_kernel(kernel, a + m * ha, x_points), ha, 2)
         worst = max(worst, float(np.max(a ** 2 * np.abs(lap))))
     return worst

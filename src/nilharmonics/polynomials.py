@@ -217,12 +217,6 @@ class Profile:
         return out
 
 
-def power_profile(scale, p):
-    """g(u) = scale * (1 + u)^(-p)."""
-    return Profile(lambda u: scale * (1 + u) ** (-sympy.Rational(p) if isinstance(p, (int, Fraction)) else -p),
-                   name=f"power(-{p})")
-
-
 def gaussian_profile(scale=1.0, width=1.0):
     """g(u) = scale * exp(-u / (2 width^2)); pair with N = sum theta_k^2."""
     return Profile(lambda u: scale * sympy.exp(-u / (2 * width ** 2)),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group_core import GroupSpec, HomogeneousNorm
+from .group_core import GroupSpec, HomogeneousNorm, tensor_grid
 
 
 def _axis_nodes(center, half_width, count, rule, grading):
@@ -79,10 +79,8 @@ class Grid:
                                int(counts[k]), rule, gradings[k])
             self.axes.append(x)
             axis_w.append(w)
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        self.points = np.stack(mesh, axis=-1)
-        wmesh = np.meshgrid(*axis_w, indexing="ij")
-        self.weights = np.prod(np.stack(wmesh, axis=0), axis=0)
+        self.points = tensor_grid(self.axes)
+        self.weights = np.prod(tensor_grid(axis_w), axis=-1)
         self.flat_points = self.points.reshape(-1, n)
         self.flat_weights = self.weights.reshape(-1)
 
@@ -119,8 +117,9 @@ def box_grid(spec_or_n, radius, count, rule="simpson", grading=None,
 
 
 def _evaluate(f, pts):
-    vals = f(pts) if callable(f) else np.asarray(f, dtype=float)
-    vals = np.asarray(vals, dtype=float)
+    """Values of a callable (a Polynomial, a SmoothField or a plain function
+    of (..., n) arrays) at pts, refusing non-finite values."""
+    vals = np.asarray(f(np.asarray(pts, dtype=float)), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite integrand values on the grid")
     return vals

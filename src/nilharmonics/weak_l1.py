@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group_core import GroupSpec, HomogeneousNorm
+from .group_core import GroupSpec, HomogeneousNorm, tensor_grid
 from .kernels import KernelSpec, certify_RGamma, dilated_field
 
 
@@ -156,8 +156,7 @@ def superlevel_measure(F, alpha, window: Window, estimator="grid",
                 axes.append(c[k] - hw[k] + (np.arange(res[k]) + 0.5
                                             + shift) * step)
                 cell *= step
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack(mesh, axis=-1).reshape(-1, n)
+            pts = tensor_grid(axes).reshape(-1, n)
             a_edges = np.linspace(window.a_lo, window.a_hi, na + 1)
             if a_power < 0 and a_edges[0] == 0.0:
                 a_edges[0] = a_edges[1] / 1e6
@@ -268,8 +267,7 @@ def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
     hw = np.asarray(window.half_widths, dtype=float)
     axes = [np.linspace(c[k] - hw[k], c[k] + hw[k], resolution)
             for k in range(window.n)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1) \
-        .reshape(-1, window.n)
+    pts = tensor_grid(axes).reshape(-1, window.n)
     sups = []
     for m in range(n_doublings):
         lo = a0 * 2 ** m
@@ -333,12 +331,6 @@ class CoveringCertificate:
     skipped_scales: list
     counts: dict = field(default_factory=dict)
 
-    @property
-    def total_volume(self):
-        """sum |A_{i,j}| under the calibrated Haar normalization."""
-        return sum(p.radius ** p._Q * (p.a_hi - p.a_lo)
-                   for p in self.authorized)
-
 
 def _lattice_scales(spec: GroupSpec):
     """Per-axis multipliers c_k so that {theta_k = m_k c_k s^{d_k}} is a
@@ -363,10 +355,8 @@ def _covering_radius(spec: GroupSpec, norm: HomogeneousNorm, samples=9):
     scales = _lattice_scales(spec)
     axes = [np.linspace(0, scales[k], samples, endpoint=False)
             for k in range(spec.n)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1) \
-        .reshape(-1, spec.n)
-    offs = np.stack(np.meshgrid(*[np.arange(-2, 3)] * spec.n,
-                                indexing="ij"), axis=-1).reshape(-1, spec.n)
+    pts = tensor_grid(axes).reshape(-1, spec.n)
+    offs = tensor_grid([np.arange(-2, 3)] * spec.n).reshape(-1, spec.n)
     lat = _lattice_coords(spec, 1.0, offs)
     best = np.full(len(pts), np.inf)
     for q in lat:
@@ -379,8 +369,7 @@ def _design_kappa(spec, norm, c0):
     """Lattice design constant: most balls of radius r (spacing r / c0)
     that cover one point, measured at unit scale."""
     s = 1.0 / c0
-    offs = np.stack(np.meshgrid(*[np.arange(-4, 5)] * spec.n,
-                                indexing="ij"), axis=-1).reshape(-1, spec.n)
+    offs = tensor_grid([np.arange(-4, 5)] * spec.n).reshape(-1, spec.n)
     lat = _lattice_coords(spec, s, offs)
     rng = np.random.default_rng(0)
     probes = rng.uniform(-0.5, 0.5, size=(200, spec.n))
@@ -402,8 +391,7 @@ def _lattice_points_near(spec, norm, s, xi, R):
         raise ValueError("covering lattice enumeration too large; "
                          "reduce depth or raise alpha")
     axes = [np.arange(-hi[k], hi[k] + 1) for k in range(spec.n)]
-    ints = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1) \
-        .reshape(-1, spec.n)
+    ints = tensor_grid(axes).reshape(-1, spec.n)
     lam = ints * step
     keep = norm(lam) <= R
     return ints[keep], spec.multiply(np.asarray(xi, dtype=float), lam[keep])
@@ -497,7 +485,6 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
         for j, (key, cc) in enumerate(cand):
             enumerated += 1
             piece = DyadicPiece(i, j, cc, r_i, a_lo, a_hi, key=(i,) + key)
-            piece._Q = Q
             owner = None
             for p in authorized:
                 rf = _forbid_radius(i0, p.i, i, Q, Gamma)
@@ -560,7 +547,7 @@ def _piece_quadrature(spec, norm, piece, res_eta=5, res_a=3):
     ext = np.array([norm._axis_extent(k, piece.radius) for k in range(n)])
     axes = [(-ext[k] + (np.arange(res_eta) + 0.5) * 2 * ext[k] / res_eta)
             for k in range(n)]
-    b = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    b = tensor_grid(axes).reshape(-1, n)
     keep = norm(b) <= piece.radius
     b = b[keep]
     cell = float(np.prod(2 * ext / res_eta)) * norm.calibration()
@@ -630,7 +617,9 @@ def verify_covering(cert: CoveringCertificate, spec, norm,
                                       resolution=resolution,
                                       a_resolution=resolution,
                                       calibration=cal)
-    S_vol = cert.total_volume
+    # |A_{i,j}| under the calibrated Haar normalization
+    owns = [p.radius ** Q * (p.a_hi - p.a_lo) for p in cert.authorized]
+    S_vol = sum(owns)
     report = {"superlevel_measure": measure, "measure_error_bar": bar,
               "S_volume": S_vol, "tail_measure": cert.tail_measure}
     report["C_i"] = measure / S_vol if S_vol else \
@@ -661,8 +650,7 @@ def verify_covering(cert: CoveringCertificate, spec, norm,
 
     # forbidden-volume bound per authorized piece, measured and analytic
     ratios, analytic = [], []
-    for p in cert.authorized:
-        own = p.radius ** Q * (p.a_hi - p.a_lo)
+    for p, own in zip(cert.authorized, owns):
         ratios.append(cert.forbidden_volume.get(p.key, 0.0) / own)
         tot = 0.0
         for l in range(p.i + 1, p.i + 60):

@@ -4,11 +4,13 @@ from fractions import Fraction
 from numpy.testing import assert_allclose
 
 from nilharmonics.calculus import (
-    OperatorWord, build_conversion, build_field, conversion_residual,
-    convolution_identity_residuals, euclidean_expansion, fundlink_residual,
-    integrate_by_parts_residual, leibniz_tilde_coeff, multi_indices_upto,
+    OperatorWord, build_conversion, build_field, central_difference,
+    conversion_residual, convolution_identity_residuals, euclidean_expansion,
+    fundlink_residual, integrate_by_parts_residual, leibniz_tilde_coeff,
+    multi_indices_upto,
 )
-from nilharmonics.group_core import abelian, heisenberg, random_step2
+from nilharmonics.group_core import GroupSpec, abelian, heisenberg, \
+    random_step2
 from nilharmonics.polynomials import (
     Polynomial, SmoothField, bump_profile, gaussian_profile,
     poly_bump_profile,
@@ -106,6 +108,14 @@ class TestWords:
         exact = w.apply_symbolic(f).eval(pts)
         fd = w.as_callable(lambda p: f.eval(p))(pts)
         assert_allclose(fd, exact, atol=2e-6 * (1 + np.abs(exact).max()))
+
+    @pytest.mark.parametrize("kind", ["X", "Xt", "Y", "Yt"])
+    def test_as_callable_is_exact_on_smooth_fields(self, kind):
+        w = OperatorWord(heisenberg(), kind, (1, 0, 1))
+        f = heis_bump()
+        pts = np.random.default_rng(8).uniform(-1, 1, (7, 3))
+        assert np.array_equal(w.as_callable(f)(pts),
+                              w.apply_symbolic(f).eval(pts))
 
     def test_left_invariance(self):
         G = heisenberg()
@@ -208,6 +218,47 @@ class TestConversion:
     def test_max_order_guard(self):
         with pytest.raises(ValueError):
             build_conversion(heisenberg(), (2, 2, 0))
+
+    def test_max_order_guard_after_cached_call(self):
+        G = heisenberg()
+        build_conversion(G, (1, 1, 0))
+        with pytest.raises(ValueError):
+            build_conversion(G, (1, 1, 0), max_order=1)
+
+
+class TestCaches:
+    def test_equal_specs_share_fields_and_tables(self):
+        assert build_field(heisenberg(), "left", 0) \
+            is build_field(heisenberg(), "left", 0)
+        assert build_conversion(heisenberg(), (1, 0, 0)) \
+            is build_conversion(heisenberg(), [1, 0, 0])
+
+    def test_cache_is_keyed_by_value_not_name(self):
+        e1, e2 = (1, 0, 0), (0, 1, 0)
+        other = GroupSpec(name="heisenberg", weights=(1, 1, 2),
+                          structure=[((2, e1, e2), Fraction(1)),
+                                     ((2, e2, e1), Fraction(-1))])
+        mine = build_field(other, "left", 0)
+        theirs = build_field(heisenberg(), "left", 0)
+        assert mine is not theirs
+        assert mine.coeffs[2].coeffs == {e2: Fraction(-1)}
+        assert theirs.coeffs[2].coeffs == {e2: Fraction(-1, 2)}
+
+
+class TestCentralDifference:
+    @pytest.mark.parametrize("order, degree", [(1, 4), (2, 5)])
+    def test_exact_on_polynomials(self, order, degree):
+        # the error term is h^4 times the derivative of order `order + 4`,
+        # which vanishes on polynomials of degree order + 3
+        p = np.polynomial.Polynomial([0.7, -1.3, 2.1, 0.4, -0.9,
+                                      0.6][:degree + 1])
+        x0, h = 0.37, 0.125
+        got = central_difference(lambda m: p(x0 + m * h), h, order)
+        assert_allclose(got, p.deriv(order)(x0), rtol=1e-12)
+
+    def test_other_orders_refused(self):
+        with pytest.raises(ValueError):
+            central_difference(lambda m: 0.0, 0.1, 3)
 
 
 class TestFundlink:

@@ -50,7 +50,7 @@ def test_group_check_pass(tmp_path):
     assert summary["failed_checks"] == []
     assert summary["artifacts"] == [out]
     meta = summary["metadata"]
-    assert set(meta) == {"version", "seed", "threads", "config-hash"}
+    assert set(meta) == {"version", "seed", "config-hash"}
     assert len(meta["config-hash"]) == 64
 
 
@@ -109,14 +109,6 @@ def test_dry_run_prints_plan_writes_nothing(tmp_path, capsys):
     assert plan["inputs"] == {"spec": "heisenberg"}
     assert plan["params"]["triples"] == 1000
     assert list(tmp_path.iterdir()) == []
-
-
-def test_threads_env_overrides_flag(tmp_path, monkeypatch):
-    out = str(tmp_path / "c.csv")
-    monkeypatch.setenv("NILH_THREADS", "7")
-    main(["group", "check", "--spec", "abelian_R2", "--threads", "2",
-          "--out", out, "--triples", "10"])
-    assert read_json(out + ".summary.json")["metadata"]["threads"] == 7
 
 
 def test_seed_changes_config_hash(tmp_path):

@@ -238,6 +238,14 @@ def test_poisson_extend_iota_matches_fd():
     assert np.max(np.abs(got - fd)) < 1e-5
 
 
+def test_poisson_extend_rejects_nan_density():
+    ker = KernelSpec(LINE, LNORM, "classical_abelian")
+    nan = lambda p: np.where(np.abs(p[..., 0]) < 1.0, np.nan, 0.0)
+    T = DistributionRep(LINE, LNORM, 1.0, [((0,), nan)], mu=0.0)
+    with pytest.raises(ValueError):
+        poisson_extend(T, ker, 0.5, np.zeros((1, 1)), Grid([0.], [5.], [51]))
+
+
 def test_gamma_mismatch_and_bad_scale_rejected():
     T = DistributionRep(LINE, LNORM, 2.0, [((0,), line_gaussian())])
     ker = KernelSpec(LINE, LNORM, "classical_abelian")

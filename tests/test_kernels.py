@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
 from nilharmonics.kernels import (
-    KernelSpec, certify_RGamma, dilate_kernel, dilated_field, eval_kernel,
+    KernelSpec, certify_RGamma, dilate_kernel, dilated_field,
     harmonicity_residual, scale_derivative,
 )
 from nilharmonics.quadrature import Grid, convolve, haar_integrate
@@ -23,7 +23,7 @@ def heis_kernel(Gamma=1.0):
 class TestEval:
     def test_r1_at_zero(self):
         # unit mass forces P(0) = 1/pi
-        assert_allclose(eval_kernel(classical(), np.zeros(1)), 1.0 / np.pi)
+        assert_allclose(classical()(np.zeros(1)), 1.0 / np.pi)
 
     def test_r1_unit_mass(self):
         P = classical()
