@@ -352,8 +352,7 @@ def fundlink_residual(spec, alpha, test_functions, etas):
     return worst
 
 
-def integrate_by_parts_residual(spec, kind, alpha, f, g, grid,
-                                calibration=1.0):
+def integrate_by_parts_residual(spec, kind, alpha, f, g, grid):
     """|int (W^alpha f) g - (-1)^{|alpha|} int f (W-tilde^alpha g)| for the
     dual pairs (X, Xt) and (Y, Yt); f, g supported inside the grid."""
     pairs = {"X": "Xt", "Xt": "X", "Y": "Yt", "Yt": "Y"}
@@ -364,11 +363,10 @@ def integrate_by_parts_residual(spec, kind, alpha, f, g, grid,
                  * grid.weights)
     rhs = sgn * np.sum(_evaluate(f, grid.points) * wg.apply(g, grid.points)
                        * grid.weights)
-    return float(abs(lhs - rhs)) * float(calibration)
+    return float(abs(lhs - rhs))
 
 
-def convolution_identity_residuals(spec, alpha, f, g, grid, etas,
-                                   calibration=1.0):
+def convolution_identity_residuals(spec, alpha, f, g, grid, etas):
     """Residuals of the four derivative-of-convolution identities
         X^a (f*g) = f * (X^a g),      Y^a (f*g) = (Y^a f) * g,
         (X^a f) * g = f * (Yt^a g),   (Xt^a f) * g = f * (Y^a g),
@@ -376,7 +374,7 @@ def convolution_identity_residuals(spec, alpha, f, g, grid, etas,
     etas = np.asarray(etas, dtype=float)
 
     def conv(a, b):
-        return lambda e: convolve(spec, a, b, e, grid, calibration)
+        return lambda e: convolve(spec, a, b, e, grid)
 
     def word_of(kind, h):
         return OperatorWord(spec, kind, alpha).as_callable(h)

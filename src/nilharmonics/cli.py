@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import conversion_residual
-from .distributions import DistributionRep, boundary_convergence, \
-    flat_top_profile, weight_field
-from .group_core import GroupSpec, HomogeneousNorm
+from .distributions import TestFunction, boundary_convergence
+from .group_core import HomogeneousNorm
 from .io import InputError, density_from_json, emit_table, load_group, \
-    load_distribution, load_json, load_measure, metadata, write_json
+    load_distribution, load_measure, metadata, write_json
 from .kernels import KernelSpec, certify_RGamma
-from .polynomials import Polynomial, SmoothField
-from .quadrature import Grid, I_rs, irs_majorant
-from .weak_l1 import build_covering, superlevel_measure, verify_covering
+from .quadrature import Grid, irs_bound_check
+from .weak_l1 import AtomicMeasure, build_covering, verify_covering
 
 
 class CheckFailure(Exception):
@@ -106,17 +104,11 @@ def _cmd_calculus_identities(cfg):
 def _cmd_quad_irs(cfg):
     spec = load_group(cfg.inputs["spec"])
     norm = HomogeneousNorm(spec)
-    r, s = cfg.params["r"], cfg.params["s"]
-    e1 = np.zeros(spec.n)
-    e1[0] = 1.0
-    e1 = e1 / norm(e1)
-    rows = []
-    for t in np.geomspace(0.25, cfg.params["eta_max"], 9):
-        eta = spec.dilate(t, e1)
-        val = I_rs(norm, r, s, eta, count=cfg.params.get("count", 25))
-        maj = float(irs_majorant(norm, r, s, t))
-        rows.append({"eta_norm": float(t), "I_rs": val, "majorant": maj,
-                     "ratio": val / maj})
+    check = irs_bound_check(norm, cfg.params["r"], cfg.params["s"],
+                            np.geomspace(0.25, cfg.params["eta_max"], 9),
+                            count=cfg.params.get("count", 25))
+    rows = [{"eta_norm": float(t), "I_rs": val, "majorant": maj,
+             "ratio": ratio} for t, val, maj, ratio in check["rows"]]
     bad = [] if all(np.isfinite(row["ratio"]) for row in rows) \
         else ["finite-ratio"]
     return rows, {"rows": rows}, bad
@@ -139,7 +131,6 @@ def _cmd_extend_run(cfg):
     norm = HomogeneousNorm(spec)
     Gamma = cfg.params["gamma"]
     kernel = KernelSpec(spec, norm, cfg.params["kernel"], Gamma=Gamma)
-    from .distributions import TestFunction
     T = load_distribution(cfg.inputs["dist"], spec, norm, Gamma)
     phi = TestFunction(spec, density_from_json(
         spec.n, {"kind": cfg.params["phi"], "params": {"radius": 2.0}}),
@@ -147,13 +138,11 @@ def _cmd_extend_run(cfg):
     radius = cfg.params.get("radius", 4.0)
     count = cfg.params.get("resolution", 21)
     if spec.n == 1:
-        outer = Grid([0.0], [8.0 * radius], [32 * count + 1], grading=6.0)
-        inner = Grid([0.0], [8.0 * radius], [32 * count + 1], grading=6.0)
+        grid = Grid([0.0], [8.0 * radius], [32 * count + 1], grading=6.0)
     else:
-        outer = Grid([0.0] * spec.n, [radius] * spec.n, [count] * spec.n)
-        inner = Grid([0.0] * spec.n, [radius] * spec.n, [count] * spec.n)
+        grid = Grid([0.0] * spec.n, [radius] * spec.n, [count] * spec.n)
     result = boundary_convergence(
-        T, kernel, phi, cfg.params["a_list"], outer, inner,
+        T, kernel, phi, cfg.params["a_list"], grid, grid,
         kernel_mass=cfg.params.get("kernel_mass", 1.0),
         method=cfg.params.get("method", "direct"),
         count=cfg.params.get("resolution", 21))
@@ -197,7 +186,6 @@ def _cmd_weakl1_run(cfg):
 
 
 def _cmd_covering_demo(cfg):
-    from .weak_l1 import AtomicMeasure
     spec = load_group(cfg.inputs.get("spec", "abelian_R1"))
     norm = HomogeneousNorm(spec)
     nu = AtomicMeasure(np.zeros((1, spec.n)), np.ones(1))

@@ -141,12 +141,12 @@ class DistributionRep:
     def weight(self):
         return self._weight
 
-    def density_l1_norms(self, grid: Grid, calibration=1.0):
+    def density_l1_norms(self, grid: Grid):
         """||f_alpha||_1 per term — finiteness is the membership invariant."""
         out = {}
         for alpha, f in self.terms:
             vals = np.abs(_evaluate(f, grid.points))
-            out[alpha] = float(np.sum(vals * grid.weights) * calibration)
+            out[alpha] = float(np.sum(vals * grid.weights))
         return out
 
     def leibniz_terms(self):
@@ -189,7 +189,7 @@ class DistributionRep:
         return out
 
 
-def pair(T: DistributionRep, phi: TestFunction, grid: Grid, calibration=1.0):
+def pair(T: DistributionRep, phi: TestFunction, grid: Grid):
     """<T, phi> = sum_beta (-1)^{|beta|} int g_beta Xt^beta phi, through the
     normal form."""
     total = 0.0
@@ -197,11 +197,10 @@ def pair(T: DistributionRep, phi: TestFunction, grid: Grid, calibration=1.0):
         dphi = phi.word_callable("Xt", beta)
         vals = g(grid.points) * dphi(grid.points)
         total += (-1) ** sum(beta) * float(np.sum(vals * grid.weights))
-    return total * calibration
+    return total
 
 
-def pair_unweighted(T: DistributionRep, phi: TestFunction, grid: Grid,
-                    calibration=1.0):
+def pair_unweighted(T: DistributionRep, phi: TestFunction, grid: Grid):
     """<omega_{-mu} T, phi> = sum_alpha (-1)^{|alpha|} int f_alpha
     Xt^alpha phi — the weight cancels exactly against the representation."""
     total = 0.0
@@ -209,11 +208,11 @@ def pair_unweighted(T: DistributionRep, phi: TestFunction, grid: Grid,
         dphi = phi.word_callable("Xt", alpha)
         vals = _evaluate(f, grid.points) * dphi(grid.points)
         total += (-1) ** sum(alpha) * float(np.sum(vals * grid.weights))
-    return total * calibration
+    return total
 
 
 def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
-                    grid: Grid, iota=None, calibration=1.0, chunk=2 ** 21):
+                    grid: Grid, iota=None):
     """(T * psi)(eta) = sum_alpha (-1)^{|alpha|} sum_{beta<=alpha}
     lambda(alpha,beta) int f(xi) (Xt^{alpha-beta} omega)(xi)
     (Xt^beta psi-check)(eta^{-1} xi) dxi; with iota set, the outer word
@@ -223,9 +222,9 @@ def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
     single = eta.ndim == 1
     etas = eta.reshape(-1, spec.n)
     xi = grid.flat_points
-    w = grid.flat_weights * calibration
+    w = grid.flat_weights
     out = np.zeros(len(etas))
-    step = max(1, chunk // len(xi))
+    step = max(1, 2 ** 21 // len(xi))
     for alpha, beta, f, lam, wd in T.leibniz_terms():
         sign = (-1) ** sum(alpha)
         kd = OperatorWord(spec, "Xt", beta).apply_symbolic(psi_check_field)
@@ -244,7 +243,7 @@ def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
 
 
 def poisson_extend(T: DistributionRep, kernel: KernelSpec, a, eta,
-                   grid: Grid, iota=None, calibration=1.0):
+                   grid: Grid, iota=None):
     """The function (T * P_a)(eta); with iota, X^iota(T * P_a)(eta) with
     the derivative taken under the integral."""
     if abs(T.Gamma - kernel.Gamma) > 1e-12:
@@ -252,12 +251,11 @@ def poisson_extend(T: DistributionRep, kernel: KernelSpec, a, eta,
     if a <= 0:
         raise ValueError("scale parameter must be positive")
     pk_check = dilated_field(kernel, a).negate_coords()
-    return _convolve_terms(T, pk_check, eta, grid, iota=iota,
-                           calibration=calibration)
+    return _convolve_terms(T, pk_check, eta, grid, iota=iota)
 
 
 def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
-                          span=4.0, count=31, calibration=1.0):
+                          span=4.0, count=31):
     """(T * P_a)(eta) in the kernel-centered chart xi = eta delta_a zeta:
     the dilated kernel becomes the a-independent (Xt^beta P-check)(zeta)
     while the densities are pulled back, so one graded zeta-grid resolves
@@ -278,7 +276,7 @@ def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
                            center_spacing=6.0 / count)
     zgrid = Grid([0.0] * spec.n, hw, [count] * spec.n, grading=grading)
     zeta = zgrid.flat_points
-    wz = zgrid.flat_weights * calibration
+    wz = zgrid.flat_weights
     dz = spec.dilate(a, zeta)
     pk_check = kernel.field.negate_coords()
     out = np.zeros(len(etas))
@@ -298,23 +296,21 @@ def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
 
 
 def regularize(T: DistributionRep, phi_field: SmoothField, eta, grid: Grid,
-               l1_grid: Grid = None, calibration=1.0):
+               l1_grid: Grid = None):
     """T * phi for compactly supported smooth phi (given as a SmoothField);
     returns the sampled values at eta and, when l1_grid is supplied, the
     L^1 norm of the regularization over that grid."""
-    vals = _convolve_terms(T, phi_field.negate_coords(), eta, grid,
-                           calibration=calibration)
+    vals = _convolve_terms(T, phi_field.negate_coords(), eta, grid)
     if l1_grid is None:
         return vals, None
     dense = _convolve_terms(T, phi_field.negate_coords(), l1_grid.points,
-                            grid, calibration=calibration)
-    l1 = float(np.sum(np.abs(dense) * l1_grid.weights) * calibration)
+                            grid)
+    l1 = float(np.sum(np.abs(dense) * l1_grid.weights))
     return vals, l1
 
 
 def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, a=1.0,
-                            radius=50.0, n_dirs=8, n_radii=15,
-                            calibration=1.0, seed=0):
+                            radius=50.0, n_dirs=8, n_radii=15, seed=0):
     """Two numerical witnesses for S'-convolvability with P_a.
 
     (a) (phi * P_a-check) omega_{Q+Gamma} has bounded invariant derivatives
@@ -330,7 +326,7 @@ def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, a=1.0,
     pk_check = check_map(spec, dilated_field(kernel, a))
 
     def conv_phi(p):
-        return convolve(spec, phi, pk_check, p, grid, calibration)
+        return convolve(spec, phi, pk_check, p, grid)
 
     def weighted(p):
         return conv_phi(p) * w_plus.eval(p)
@@ -367,8 +363,7 @@ def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, a=1.0,
 
 
 def extension_weighted_norm(T: DistributionRep, kernel: KernelSpec, a, iota,
-                            outer_grid: Grid, inner_grid: Grid,
-                            calibration=1.0):
+                            outer_grid: Grid, inner_grid: Grid):
     """int |X^iota (T * P_a)| omega_{-Q-Gamma} dlambda over the outer grid,
     the derivative taken under the integral."""
     if sum(iota) > 2:
@@ -376,16 +371,15 @@ def extension_weighted_norm(T: DistributionRep, kernel: KernelSpec, a, iota,
     w_minus = weight_field(kernel.norm,
                            -float(kernel.spec.Q) - kernel.Gamma)
     vals = poisson_extend(T, kernel, a, outer_grid.points, inner_grid,
-                          iota=iota, calibration=calibration)
+                          iota=iota)
     dens = np.abs(vals) * w_minus.eval(outer_grid.points)
-    return float(np.sum(dens * outer_grid.weights) * calibration)
+    return float(np.sum(dens * outer_grid.weights))
 
 
 def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
                          phi: TestFunction, a_list, outer_grid: Grid,
-                         inner_grid: Grid, calibration=1.0,
-                         kernel_mass=1.0, method="direct", span=4.0,
-                         count=31):
+                         inner_grid: Grid, kernel_mass=1.0, method="direct",
+                         span=4.0, count=31):
     """Rows (a, <omega_{-mu}(T*P_a), phi>, <omega_{-mu}T, phi>, error);
     the limit pairing is evaluated exactly from the representation, the
     extension pairing by outer quadrature.  Reports the fitted slope of
@@ -393,20 +387,19 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
     w_minus = weight_field(kernel.norm, -T.mu)
     wm_phi = w_minus.eval(outer_grid.points) * phi(outer_grid.points)
     # T * P_a tends to (int P) T; pass the kernel mass when it is not 1
-    limit = kernel_mass * pair_unweighted(T, phi, inner_grid, calibration)
+    limit = kernel_mass * pair_unweighted(T, phi, inner_grid)
     rows = []
     for a in a_list:
         if method == "scaled":
             # kernel-centered chart: one graded zeta-grid resolves every a
             ext = poisson_extend_scaled(T, kernel, a, outer_grid.points,
-                                        span=span, count=count,
-                                        calibration=calibration)
+                                        span=span, count=count)
         elif method == "direct":
             ext = poisson_extend(T, kernel, a, outer_grid.points,
-                                 inner_grid, calibration=calibration)
+                                 inner_grid)
         else:
             raise ValueError(f"unknown method {method!r}")
-        val = float(np.sum(ext * wm_phi * outer_grid.weights) * calibration)
+        val = float(np.sum(ext * wm_phi * outer_grid.weights))
         rows.append((float(a), val, limit, abs(val - limit)))
     errs = np.array([r[3] for r in rows])
     a_arr = np.array([r[0] for r in rows])
@@ -418,7 +411,7 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
 
 
 def derivative_commute_residual(S: DistributionRep, kernel: KernelSpec, j,
-                                a, pts, grid: Grid, calibration=1.0):
+                                a, pts, grid: Grid):
     """sup over pts of |Y_j(S * P_a) - (Y_j S) * P_a| for compactly
     supported S; Y_j S is realized by applying the right-invariant field
     directly to the (smooth, compact) densities."""
@@ -428,8 +421,7 @@ def derivative_commute_residual(S: DistributionRep, kernel: KernelSpec, j,
     if any(sum(alpha) > 0 for alpha, _ in S.terms) or S.mu != 0:
         raise ValueError("compact-support path expects plain function terms")
     pts = np.asarray(pts, dtype=float)
-    u = lambda p: poisson_extend(S, kernel, a, p, grid,
-                                 calibration=calibration)
+    u = lambda p: poisson_extend(S, kernel, a, p, grid)
     lhs = build_field(S.spec, "right", j).apply_fd(u)(pts)
     dterms = []
     for alpha, f in S.terms:
@@ -439,5 +431,5 @@ def derivative_commute_residual(S: DistributionRep, kernel: KernelSpec, j,
                        build_field(S.spec, "right", j).apply_symbolic(f)))
     dS = DistributionRep(S.spec, S.norm, S.Gamma, dterms, mu=S.mu,
                          compact_support=True)
-    rhs = poisson_extend(dS, kernel, a, pts, grid, calibration=calibration)
+    rhs = poisson_extend(dS, kernel, a, pts, grid)
     return float(np.max(np.abs(lhs - rhs)))

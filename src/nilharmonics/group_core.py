@@ -221,7 +221,6 @@ class HomogeneousNorm:
             self.powers = tuple(p.numerator for p in powers)
         else:
             raise ValueError(f"unknown norm variant {variant!r}")
-        self._calibration = None
 
     @property
     def n(self):
@@ -265,17 +264,19 @@ class HomogeneousNorm:
         unit = 1.0 / self(e)
         return unit * float(r) ** float(self.spec.weights[k])
 
-    def calibration(self, resolution=201):
-        """Constant kappa with kappa * Leb(B(0,1)) = 1, cached."""
-        if self._calibration is None:
-            ext = np.array([self._axis_extent(k, 1.0) for k in range(self.n)])
-            axes = [np.linspace(-ext[k], ext[k], resolution)
-                    for k in range(self.n)]
-            inside = self(tensor_grid(axes)) <= 1.0
-            cell = np.prod([ax[1] - ax[0] for ax in axes])
-            vol = float(inside.sum()) * cell
-            self._calibration = 1.0 / vol
-        return self._calibration
+    def calibration(self):
+        """Constant kappa with kappa * Leb(B(0,1)) = 1, in closed form.
+
+        The Koranyi ball has volume pi^2/8.  The even-power ball
+        {sum theta_k^{p_k} <= 1} has Dirichlet's volume
+        2^n prod Gamma(1 + 1/p_k) / Gamma(1 + Q/2M)."""
+        if self.variant == "koranyi":
+            return 8.0 / math.pi ** 2
+        vol = 2.0 ** self.n / math.gamma(
+            1.0 + float(self.spec.Q / (2 * self.M)))
+        for p in self.powers:
+            vol *= math.gamma(1.0 + 1.0 / p)
+        return 1.0 / vol
 
     def ball_volume(self, r, calibrated=True):
         """|B(0, r)| = r^Q under the calibrated Haar normalization."""

@@ -178,7 +178,8 @@ def parse_table(path):
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays for json.dump."""
+    """Recursively convert numpy scalars/arrays for json.dump; a non-finite
+    float becomes None (JSON null), which strict JSON can carry."""
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -186,7 +187,7 @@ def jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(fmt_number(obj))
+        return float(fmt_number(obj)) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -196,7 +197,8 @@ def jsonable(obj):
 
 def write_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable(obj), fh, indent=2, ensure_ascii=False)
+        json.dump(jsonable(obj), fh, indent=2, ensure_ascii=False,
+                  allow_nan=False)
         fh.write("\n")
 
 

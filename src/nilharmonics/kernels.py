@@ -18,13 +18,13 @@ when stable under doubling the sweep domain.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gamma as gamma_fn, pi, sqrt
+from math import gamma as gamma_fn, pi
 
 import numpy as np
 
 from .calculus import OperatorWord, build_conversion, central_difference, \
     multi_indices_upto
-from .group_core import GroupSpec, HomogeneousNorm, WeightFunction, abelian
+from .group_core import GroupSpec, HomogeneousNorm, WeightFunction
 from .polynomials import Polynomial, Profile, SmoothField
 import sympy
 

@@ -88,32 +88,11 @@ class Grid:
     def n(self):
         return len(self.centers)
 
-    def translate(self, shift):
-        g = Grid.__new__(Grid)
-        shift = np.asarray(shift, dtype=float)
-        g.centers = self.centers + shift
-        g.half_widths = self.half_widths
-        g.rule = self.rule
-        g.axes = [a + s for a, s in zip(self.axes, shift)]
-        g.points = self.points + shift
-        g.weights = self.weights
-        g.flat_points = self.flat_points + shift
-        g.flat_weights = self.flat_weights
-        return g
 
-
-def box_grid(spec_or_n, radius, count, rule="simpson", grading=None,
-             weights=None, center=None):
+def box_grid(spec: GroupSpec, radius, count, rule="simpson", grading=None):
     """Box whose axis k extends radius**d_k, matching the dilation scaling."""
-    if isinstance(spec_or_n, GroupSpec):
-        weights = spec_or_n.weights
-        n = spec_or_n.n
-    else:
-        n = int(spec_or_n)
-        weights = weights if weights is not None else (1,) * n
-    hw = [float(radius) ** float(d) for d in weights]
-    c = np.zeros(n) if center is None else center
-    return Grid(c, hw, count, rule=rule, grading=grading)
+    hw = [float(radius) ** float(d) for d in spec.weights]
+    return Grid(np.zeros(spec.n), hw, count, rule=rule, grading=grading)
 
 
 def _evaluate(f, pts):
@@ -131,8 +110,7 @@ def haar_integrate(f, grid: Grid, calibration=1.0):
     return float(calibration) * float(np.sum(vals * grid.weights))
 
 
-def convolve(spec: GroupSpec, f, g, eta, grid: Grid, calibration=1.0,
-             form="first", chunk=2 ** 21):
+def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first"):
     """Group convolution (f * g)(eta).
 
     form='first' evaluates  int f(xi) g(xi^{-1} eta) dlambda(xi),
@@ -143,10 +121,10 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, calibration=1.0,
     single = eta.ndim == 1
     etas = eta.reshape(-1, spec.n)
     xi = grid.flat_points
-    w = grid.flat_weights * float(calibration)
+    w = grid.flat_weights
     forms = ("first", "second") if form == "both" else (form,)
     outs = []
-    step = max(1, chunk // len(xi))
+    step = max(1, 2 ** 21 // len(xi))
     for fm in forms:
         out = np.empty(len(etas))
         for i0 in range(0, len(etas), step):
@@ -191,8 +169,7 @@ class SphereQuadrature:
     rho = |eta| projects to delta_{1/rho} eta, carrying Lebesgue weight
     divided by rho^{Q-1} and by the radial extent of the shell."""
 
-    def __init__(self, norm: HomogeneousNorm, resolution=81, thickness=0.2,
-                 calibrated=True):
+    def __init__(self, norm: HomogeneousNorm, resolution=81, thickness=0.2):
         spec = norm.spec
         outer = 1.0 + thickness
         grid = box_grid(spec, outer, resolution, rule="midpoint")
@@ -202,8 +179,7 @@ class SphereQuadrature:
         pts = grid.flat_points[keep]
         scale = np.stack([rho ** -float(d) for d in spec.weights], axis=-1)
         self.nodes = pts * scale
-        cal = norm.calibration() if calibrated else 1.0
-        self.weights = (grid.flat_weights[keep] * cal
+        self.weights = (grid.flat_weights[keep] * norm.calibration()
                         / rho ** (float(spec.Q) - 1.0) / thickness)
         self.norm = norm
 

@@ -9,6 +9,7 @@ verification report for its measured constants.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,10 +49,6 @@ class Window:
         return Window(self.center, tuple(factor * h for h in
                                          self.half_widths),
                       self.a_lo, factor * self.a_hi)
-
-    def translated(self, spec, eta0):
-        c = spec.multiply(eta0, np.asarray(self.center, dtype=float))
-        return Window(tuple(c), self.half_widths, self.a_lo, self.a_hi)
 
 
 # -- the comparison profile --------------------------------------------------
@@ -334,13 +331,23 @@ class CoveringCertificate:
 
 def _lattice_scales(spec: GroupSpec):
     """Per-axis multipliers c_k so that {theta_k = m_k c_k s^{d_k}} is a
-    subgroup lattice of the group (scaled integer lattice)."""
-    if not spec.structure:
-        return np.ones(spec.n)
-    if spec.name == "heisenberg":
-        return np.array([1.0, 1.0, 0.5])
-    raise ValueError("no covering lattice available for group "
-                     f"{spec.name!r}")
+    subgroup lattice of the group (scaled integer lattice).
+
+    Layer by layer, c_k is 1 over the lcm of the denominators of
+    coef * prod_j c_j^{alpha_j + beta_j} across the structure terms of
+    coordinate k (1 when there are none).  Each term then sends a pair of
+    lattice points to an integer multiple of c_k, so the product of two
+    lattice points is a lattice point; rational structure constants always
+    admit such a lattice (Malcev)."""
+    scales = [Fraction(1)] * spec.n
+    # a term of coordinate k involves only strictly lower layers, whose
+    # indices are below k because the weights are nondecreasing
+    for k in range(spec.n):
+        dens = [(c * math.prod(scales[j] ** (a + b) for j, (a, b)
+                               in enumerate(zip(alpha, beta)))).denominator
+                for (kk, alpha, beta), c in spec.structure if kk == k]
+        scales[k] = Fraction(1, math.lcm(*dens))
+    return np.array([float(c) for c in scales])
 
 
 def _lattice_coords(spec, s, ints):
@@ -550,11 +557,10 @@ def _piece_quadrature(spec, norm, piece, res_eta=5, res_a=3):
     b = tensor_grid(axes).reshape(-1, n)
     keep = norm(b) <= piece.radius
     b = b[keep]
-    cell = float(np.prod(2 * ext / res_eta)) * norm.calibration()
-    # discrete ball volume is renormalized to the exact r^Q so that piece
-    # integrals match the calibrated piece measure
+    # equal weights summing to the exact calibrated ball volume r^Q, so
+    # that piece integrals match the calibrated piece measure
     exact = piece.radius ** float(spec.Q)
-    w_eta = np.full(len(b), cell) * (exact / (cell * len(b)))
+    w_eta = np.full(len(b), exact / len(b))
     pts = spec.multiply(np.asarray(piece.center, dtype=float), b)
     da = (piece.a_hi - piece.a_lo) / res_a
     a_nodes = piece.a_lo + (np.arange(res_a) + 0.5) * da

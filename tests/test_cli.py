@@ -16,6 +16,10 @@ def read_json(path):
         return json.load(fh)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @pytest.fixture
 def measure_file(tmp_path):
     path = tmp_path / "nu.json"
@@ -214,6 +218,11 @@ def test_weakl1_run_vacuous_level(tmp_path, measure_file):
     payload = read_json(out)
     assert payload["certificate"]["authorized"] == []
     assert payload["report"]["chain_holds"] is True
+    # strict JSON: no piece, so min U over the pieces is +inf, written null
+    for path in (out, out + ".summary.json"):
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh, parse_constant=_refuse_constant)
+    assert payload["report"]["min_U_on_pieces"] is None
 
 
 def test_covering_demo_defaults(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -145,9 +146,37 @@ class TestNorms:
     def test_ball_volume_abelian(self):
         # [DERIVED] Leb(B(0,1)) = 2 on (R, |x|), so kappa = 1/2
         N = HomogeneousNorm(abelian(1))
-        assert_allclose(N.calibration(resolution=2001), 0.5, rtol=2e-3)
+        assert_allclose(N.calibration(), 0.5, rtol=2e-3)
         assert_allclose(N.ball_volume(3.0), 3.0)
         assert_allclose(N.ball_volume(3.0, calibrated=False), 6.0, rtol=2e-3)
+
+    @pytest.mark.parametrize("G, variant, want", [
+        (abelian(1), "even-power", 0.5),
+        (abelian(2), "even-power", 1.0 / math.pi),
+        # [DERIVED] powers (4, 4, 2): |B| = 8 Gamma(5/4)^2 Gamma(3/2) / 1!
+        (heisenberg(), "even-power",
+         1.0 / (4.0 * math.sqrt(math.pi) * math.gamma(1.25) ** 2)),
+        # [DERIVED] |B| = pi int_0^1 r sqrt(1 - r^4) dr = pi^2/8
+        (heisenberg(), "koranyi", 8.0 / math.pi ** 2),
+        # M = 3, powers (6, 6, 2)
+        (GroupSpec("weights113", (1, 1, 3)), "even-power", None),
+        (random_step2(2, 2, seed=3), "even-power", None),
+    ], ids=["R1", "R2", "heisenberg", "koranyi", "weights113", "step2"])
+    def test_calibration_closed_form(self, G, variant, want):
+        N = HomogeneousNorm(G, variant)
+        kappa = N.calibration()
+        if want is not None:
+            assert_allclose(kappa, want, rtol=1e-15)
+        # independent check: Monte-Carlo count of the unit ball in its
+        # bounding box agrees with 1/kappa within 4 sigma
+        ext = np.array([N._axis_extent(k, 1.0) for k in range(G.n)])
+        rng = np.random.default_rng(5)
+        samples = 400_000
+        inside = N(rng.uniform(-1.0, 1.0, (samples, G.n)) * ext) <= 1.0
+        frac = float(np.mean(inside))
+        box = float(np.prod(2.0 * ext))
+        sigma = box * math.sqrt(frac * (1.0 - frac) / samples)
+        assert abs(box * frac - 1.0 / kappa) <= 4.0 * sigma
 
     def test_peetre_inequality(self):
         G = heisenberg()

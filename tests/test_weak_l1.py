@@ -1,15 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.integrate as si
 from numpy.testing import assert_allclose
 
-from nilharmonics.group_core import abelian, heisenberg, random_step2, \
-    HomogeneousNorm
+from nilharmonics.group_core import GroupSpec, abelian, heisenberg, \
+    random_step2, HomogeneousNorm
 from nilharmonics.kernels import KernelSpec
 from nilharmonics.weak_l1 import (
     AtomicMeasure, CoveringCertificate, UpperHalfPoint, Window, U_i_profile,
-    U_nu, build_covering, mu_poisson_bounds, phi_gamma, superlevel_measure,
-    verify_covering, weak_l1_constant,
+    U_nu, _lattice_coords, _lattice_scales, build_covering,
+    mu_poisson_bounds, phi_gamma, superlevel_measure, verify_covering,
+    weak_l1_constant,
 )
 
 LINE = abelian(1)
@@ -247,12 +250,33 @@ def test_covering_depth_underflow_rejected():
         build_covering(LINE, LNORM, NU_LINE, 1.0, 0.1, 0, 40)
 
 
-def test_covering_needs_a_group_lattice():
-    spec = random_step2(2, 1, seed=0)
-    norm = HomogeneousNorm(spec)
-    nu = AtomicMeasure([[0.0, 0.0, 0.0]], [1.0])
-    with pytest.raises(ValueError):
-        build_covering(spec, norm, nu, 1.0, 0.5, 1, 2)
+def _heisenberg_with(name, c):
+    e1, e2 = (1, 0, 0), (0, 1, 0)
+    return GroupSpec(name, (1, 1, 2), [((2, e1, e2), c), ((2, e2, e1), -c)])
+
+
+@pytest.mark.parametrize("spec", [
+    heisenberg(),
+    # named like the builtin, with another bracket constant
+    _heisenberg_with("heisenberg", Fraction(1, 4)),
+    random_step2(3, 2, seed=11),
+], ids=["heisenberg", "quarter-bracket", "step2"])
+def test_covering_lattice_is_a_subgroup(spec):
+    rng = np.random.default_rng(6)
+    d = np.array([float(w) for w in spec.weights])
+    for s in (1.0, 0.5):
+        m1, m2 = rng.integers(-6, 7, (2, 50, spec.n))
+        prod = spec.multiply(_lattice_coords(spec, s, m1),
+                             _lattice_coords(spec, s, m2))
+        ints = prod / (_lattice_scales(spec) * s ** d)
+        assert np.max(np.abs(ints - np.round(ints))) < 1e-9
+
+
+def test_covering_lattice_ignores_group_name():
+    renamed = _heisenberg_with("heis_renamed", Fraction(1, 2))
+    assert np.array_equal(_lattice_scales(renamed),
+                          _lattice_scales(heisenberg()))
+    assert np.array_equal(_lattice_scales(heisenberg()), [1.0, 1.0, 0.5])
 
 
 def test_covering_line_properties(line_cover):
