@@ -228,9 +228,6 @@ class ConversionTable:
     def __init__(self, spec, alpha, table):
         self.spec, self.alpha, self.table = spec, tuple(alpha), table
 
-    def index_set(self):
-        return set(self.table)
-
     def apply_symbolic(self, f):
         out = None
         for beta, q in self.table.items():

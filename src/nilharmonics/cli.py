@@ -24,10 +24,6 @@ from .quadrature import Grid, irs_bound_check
 from .weak_l1 import AtomicMeasure, build_covering, verify_covering
 
 
-class CheckFailure(Exception):
-    """A measured invariant failed; maps to exit status 2."""
-
-
 @dataclass
 class ExperimentConfig:
     command: str
@@ -57,10 +53,8 @@ def _csv_alphas(text):
             for part in text.split(";") if part.strip()]
 
 
-def _fmt_of(path, default="csv"):
-    if path is None:
-        return default
-    return "json" if path.endswith(".json") else "csv"
+def _fmt_of(path):
+    return "json" if path is not None and path.endswith(".json") else "csv"
 
 
 # -- command bodies ----------------------------------------------------------
@@ -68,7 +62,7 @@ def _fmt_of(path, default="csv"):
 def _cmd_group_check(cfg):
     spec = load_group(cfg.inputs["spec"])
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.params.get("triples", 1000)
+    n = cfg.params["triples"]
     x, y, z = (rng.uniform(-3, 3, size=(n, spec.n)) for _ in range(3))
     rows = []
     assoc = np.max(np.abs(spec.multiply(spec.multiply(x, y), z)
@@ -105,8 +99,7 @@ def _cmd_quad_irs(cfg):
     spec = load_group(cfg.inputs["spec"])
     norm = HomogeneousNorm(spec)
     check = irs_bound_check(norm, cfg.params["r"], cfg.params["s"],
-                            np.geomspace(0.25, cfg.params["eta_max"], 9),
-                            count=cfg.params.get("count", 25))
+                            np.geomspace(0.25, cfg.params["eta_max"], 9))
     rows = [{"eta_norm": float(t), "I_rs": val, "majorant": maj,
              "ratio": ratio} for t, val, maj, ratio in check["rows"]]
     bad = [] if all(np.isfinite(row["ratio"]) for row in rows) \
@@ -135,17 +128,16 @@ def _cmd_extend_run(cfg):
     phi = TestFunction(spec, density_from_json(
         spec.n, {"kind": cfg.params["phi"], "params": {"radius": 2.0}}),
         "Bdot")
-    radius = cfg.params.get("radius", 4.0)
-    count = cfg.params.get("resolution", 21)
+    radius = 4.0
+    count = cfg.params["resolution"]
     if spec.n == 1:
         grid = Grid([0.0], [8.0 * radius], [32 * count + 1], grading=6.0)
     else:
         grid = Grid([0.0] * spec.n, [radius] * spec.n, [count] * spec.n)
     result = boundary_convergence(
         T, kernel, phi, cfg.params["a_list"], grid, grid,
-        kernel_mass=cfg.params.get("kernel_mass", 1.0),
-        method=cfg.params.get("method", "direct"),
-        count=cfg.params.get("resolution", 21))
+        kernel_mass=cfg.params["kernel_mass"],
+        method=cfg.params["method"], count=count)
     rows = [{"a": a, "value": v, "limit": lim, "error": err}
             for a, v, lim, err in result["rows"]]
     bad = [] if all(np.isfinite(row["value"]) for row in rows) \
@@ -157,7 +149,7 @@ def _cmd_extend_run(cfg):
 def _cmd_weakl1_run(cfg):
     spec = load_group(cfg.inputs["spec"])
     norm = HomogeneousNorm(spec)
-    nu = load_measure(cfg.inputs["measure"])
+    nu = load_measure(cfg.inputs["measure"], spec.n)
     cert = build_covering(spec, norm, nu, cfg.params["gamma"],
                           cfg.params["alpha"], cfg.params["i0"],
                           cfg.params["depth"], seed=cfg.seed)
@@ -186,13 +178,13 @@ def _cmd_weakl1_run(cfg):
 
 
 def _cmd_covering_demo(cfg):
-    spec = load_group(cfg.inputs.get("spec", "abelian_R1"))
+    spec = load_group(cfg.inputs["spec"])
     norm = HomogeneousNorm(spec)
     nu = AtomicMeasure(np.zeros((1, spec.n)), np.ones(1))
     cfg.inputs["measure"] = "<unit atom at the origin>"
-    cert = build_covering(spec, norm, nu, 1.0, cfg.params.get("alpha", 0.1),
-                          cfg.params.get("i0", 2),
-                          cfg.params.get("depth", 6), seed=cfg.seed)
+    cert = build_covering(spec, norm, nu, 1.0, cfg.params["alpha"],
+                          cfg.params["i0"], cfg.params["depth"],
+                          seed=cfg.seed)
     report = verify_covering(cert, spec, norm, nu, seed=cfg.seed)
     payload = {"authorized": len(cert.authorized), "report": report}
     bad = [] if report["chain_holds"] and report["disjoint"] \
@@ -247,16 +239,16 @@ def build_parser():
     parser = _Parser(prog="nilharmonics", description=__doc__)
     sub = parser.add_subparsers(dest="group_cmd", required=True)
 
+    nested = {}  # top-level command -> its subcommand action
+
     def leaf(top, name):
-        p = sub.add_parser(top) if top not in leaf.tops else leaf.tops[top]
-        leaf.tops[top] = p
-        if not hasattr(p, "_nested"):
-            p._nested = p.add_subparsers(dest="sub_cmd", required=True)
-        q = p._nested.add_parser(name)
+        if top not in nested:
+            nested[top] = sub.add_parser(top).add_subparsers(
+                dest="sub_cmd", required=True)
+        q = nested[top].add_parser(name)
         q.add_argument("--dry-run", action="store_true")
         q.add_argument("--seed", type=int, default=0)
         return q
-    leaf.tops = {}
 
     q = leaf("group", "check")
     q.add_argument("--spec", required=True)

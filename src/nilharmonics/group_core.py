@@ -21,13 +21,6 @@ import numpy as np
 from .polynomials import Polynomial
 
 
-def _lcm(nums):
-    out = 1
-    for v in nums:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def tensor_grid(axes):
     """All points of the tensor product of 1-D axes, shape (*lens, n)."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -81,14 +74,12 @@ class GroupSpec:
             (k, float(c), tuple((j, p) for j, p in enumerate(alpha) if p),
              tuple((j, p) for j, p in enumerate(beta) if p))
             for (k, alpha, beta), c in struct))
+        # homogeneous dimension, exact; also not a field
+        object.__setattr__(self, "Q", sum(w, Fraction(0)))
 
     @property
     def n(self):
         return len(self.weights)
-
-    @property
-    def Q(self):
-        return sum(self.weights, Fraction(0))
 
     def mdeg(self, alpha):
         """Homogeneous weight d(alpha) of a multi-index."""
@@ -214,13 +205,16 @@ class HomogeneousNorm:
             self.M = 2
         elif variant == "even-power":
             # choose M so that 2M/d_k is an even integer for every k
-            self.M = _lcm(d.numerator for d in spec.weights)
+            self.M = math.lcm(*(d.numerator for d in spec.weights))
             powers = [Fraction(2 * self.M) / d for d in spec.weights]
             assert all(p.denominator == 1 and p.numerator % 2 == 0
                        for p in powers)
             self.powers = tuple(p.numerator for p in powers)
         else:
             raise ValueError(f"unknown norm variant {variant!r}")
+        # (|e_k|, d_k) per axis, for box
+        self._axes = tuple((float(u), float(d)) for u, d in
+                           zip(self(np.eye(spec.n)), spec.weights))
 
     @property
     def n(self):
@@ -257,12 +251,12 @@ class HomogeneousNorm:
         den = self(eta) + self(xi)
         return float(np.max(num / den))
 
-    def _axis_extent(self, k, r):
-        # largest |theta_k| on the unit ball, scaled by homogeneity
-        e = np.zeros(self.n)
-        e[k] = 1.0
-        unit = 1.0 / self(e)
-        return unit * float(r) ** float(self.spec.weights[k])
+    def box(self, r):
+        """Half-widths (r / |e_k|)^{d_k} of the coordinate box that holds
+        B(0, r); both gauges grow with each |theta_k|, so the ball reaches
+        farthest along coordinate k on the axis itself."""
+        # Python float powers: np.power may round the last bit differently
+        return np.array([(float(r) / u) ** d for u, d in self._axes])
 
     def calibration(self):
         """Constant kappa with kappa * Leb(B(0,1)) = 1, in closed form.

@@ -99,10 +99,13 @@ def load_distribution(path, spec, norm, Gamma):
     return DistributionRep(spec, norm, Gamma, terms, mu=data.get("mu"))
 
 
-def load_measure(path):
+def load_measure(path, n):
+    """An AtomicMeasure on an n-dimensional group; an empty atom list
+    loads as a (0, n) measure."""
     data = load_json(path)
     try:
-        return AtomicMeasure.from_json(data)
+        return AtomicMeasure.from_json(data) if data["atoms"] else \
+            AtomicMeasure(np.empty((0, n)), [])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad measure {path}: {exc}") from exc
 
@@ -123,19 +126,10 @@ def _cell(v):
     return str(v)
 
 
-def _json_scalar(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_number(v)
-    return json.dumps(str(v), ensure_ascii=False)
-
-
 def emit_table(rows, fmt, path):
-    """Rows of identical dicts as RFC-4180 CSV or a JSON array of objects;
-    numbers carry 17 significant digits."""
+    """Rows of identical dicts as RFC-4180 CSV or a strict JSON array of
+    objects (a non-finite number becomes null); numbers carry 17
+    significant digits."""
     keys = list(rows[0].keys()) if rows else []
     for row in rows:
         if list(row.keys()) != keys:
@@ -148,14 +142,7 @@ def emit_table(rows, fmt, path):
                 writer.writerow([_cell(v) for v in row.values()])
         return
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("[\n")
-            for m, row in enumerate(rows):
-                body = ", ".join(f"{json.dumps(k)}: {_json_scalar(v)}"
-                                 for k, v in row.items())
-                tail = ",\n" if m + 1 < len(rows) else "\n"
-                fh.write("  {" + body + "}" + tail)
-            fh.write("]\n")
+        write_json(rows, path)
         return
     raise InputError(f"unknown table format {fmt!r}")
 

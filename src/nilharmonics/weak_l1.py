@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .group_core import GroupSpec, HomogeneousNorm, tensor_grid
-from .kernels import KernelSpec, certify_RGamma, dilated_field
+from .kernels import KernelSpec, certify_RGamma
 
 
 # -- upper half space points and windows ------------------------------------
@@ -112,10 +112,9 @@ def U_nu(spec: GroupSpec, norm: HomogeneousNorm, nu: AtomicMeasure, Gamma,
     if np.any(a <= 0):
         raise ValueError("height a must be positive")
     Q = float(norm.spec.Q)
-    acc = 0.0
-    for x, ww in zip(nu.xi, nu.w):
-        d = norm(spec.multiply(-eta, x))
-        acc = acc + ww / (a + d) ** (Q + Gamma)
+    # atoms on a new last axis of eta and of a, summed away
+    d = norm(spec.multiply(-eta[..., None, :], nu.xi))
+    acc = np.sum(nu.w / (a[..., None] + d) ** (Q + Gamma), axis=-1)
     return a ** (Gamma - 1.0) * acc
 
 
@@ -179,8 +178,7 @@ def superlevel_measure(F, alpha, window: Window, estimator="grid",
 
 
 def weak_l1_constant(F, alpha_list, window: Window, estimator="grid",
-                     check_doubling=True, calibration=1.0, a_power=0,
-                     **kwargs):
+                     calibration=1.0, a_power=0, **kwargs):
     """sup over alpha of alpha * |{F > alpha} cap window|, with a
     stability flag from re-measuring on the doubled window."""
     products, bars = [], []
@@ -193,47 +191,41 @@ def weak_l1_constant(F, alpha_list, window: Window, estimator="grid",
     constant = max(products)
     report = {"alphas": list(alpha_list), "products": products,
               "error_bars": bars, "constant": constant}
-    if check_doubling:
-        kw2 = dict(kwargs)
-        for key in ("resolution", "a_resolution"):
-            if np.isscalar(kw2.get(key)):
-                kw2[key] = 2 * kw2[key]  # keep the cell size fixed
-        doubled = [alpha * superlevel_measure(
-            F, alpha, window.scaled(2.0), estimator=estimator,
-            calibration=calibration, a_power=a_power, **kw2)[0]
-            for alpha in alpha_list]
-        drift = max(abs(d - p) for d, p in zip(doubled, products))
-        report["doubled_products"] = doubled
-        report["stable"] = bool(drift <= 0.05 * constant + max(bars) + 1e-12)
+    kw2 = dict(kwargs)
+    for key in ("resolution", "a_resolution"):
+        if np.isscalar(kw2.get(key)):
+            kw2[key] = 2 * kw2[key]  # keep the cell size fixed
+    doubled = [alpha * superlevel_measure(
+        F, alpha, window.scaled(2.0), estimator=estimator,
+        calibration=calibration, a_power=a_power, **kw2)[0]
+        for alpha in alpha_list]
+    drift = max(abs(d - p) for d, p in zip(doubled, products))
+    report["doubled_products"] = doubled
+    report["stable"] = bool(drift <= 0.05 * constant + max(bars) + 1e-12)
     return report
 
 
 # -- global bounds for measure Poisson integrals -----------------------------
 
+def _poisson_terms(spec: GroupSpec, mu: AtomicMeasure, kernel: KernelSpec,
+                   a, eta):
+    """w_i a^{-Q} P(delta_{1/a}(xi_i^{-1} eta)), atoms on a new last axis;
+    a is one height or one per point of eta."""
+    eta = np.asarray(eta, dtype=float)[..., None, :]
+    a = np.asarray(a, dtype=float)[..., None]
+    scale = np.stack([a ** float(d) for d in spec.weights], axis=-1)
+    arg = spec.multiply(-mu.xi, eta) / scale
+    return mu.w * kernel(arg) * a ** (-float(spec.Q))
+
+
 def measure_poisson(spec: GroupSpec, mu: AtomicMeasure, kernel: KernelSpec,
                     a, eta):
     """(mu * P_a)(eta) = sum_i w_i P_a(xi_i^{-1} eta), exact for atoms."""
-    eta = np.asarray(eta, dtype=float)
-    pa = dilated_field(kernel, a if np.isscalar(a) else 1.0)
-    if np.isscalar(a):
-        acc = 0.0
-        for x, ww in zip(mu.xi, mu.w):
-            acc = acc + ww * pa.eval(spec.multiply(-x, eta))
-        return acc
-    # per-point heights: evaluate the unscaled kernel on dilated arguments
-    a = np.asarray(a, dtype=float)
-    acc = 0.0
-    base = dilated_field(kernel, 1.0)
-    scale = np.stack([a ** float(d) for d in spec.weights], axis=-1)
-    for x, ww in zip(mu.xi, mu.w):
-        arg = spec.multiply(-x, eta) / scale
-        acc = acc + ww * base.eval(arg)
-    return acc * a ** (-float(spec.Q))
+    return np.sum(_poisson_terms(spec, mu, kernel, a, eta), axis=-1)
 
 
 def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
-                      a0, alpha_list=(0.1, 1.0, 10.0), certificate=None,
-                      resolution=61, n_doublings=3):
+                      a0, certificate=None, resolution=61):
     """Measured global estimates for mu * P_a.
 
     (a) weak-L1 constant of (1/a)(1+a+|eta|)^{-Q-Gamma} mu * P_a over the
@@ -255,7 +247,7 @@ def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
         return measure_poisson(spec, mu, kernel, a, eta) \
             / (a * (1.0 + a + neta) ** (Q + Gamma))
 
-    weak = weak_l1_constant(F_weak, alpha_list, window,
+    weak = weak_l1_constant(F_weak, (0.1, 1.0, 10.0), window,
                             calibration=norm.calibration(),
                             resolution=resolution, a_resolution=resolution)
 
@@ -266,7 +258,7 @@ def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
             for k in range(window.n)]
     pts = tensor_grid(axes).reshape(-1, window.n)
     sups = []
-    for m in range(n_doublings):
+    for m in range(3):
         lo = a0 * 2 ** m
         sup = 0.0
         for a in np.geomspace(lo, max(window.a_hi, 4 * lo), 25):
@@ -275,22 +267,19 @@ def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
             sup = max(sup, float(np.max(vals)))
         sups.append(sup)
 
-    # near / middle / far split of the integrand of mu * P_a
-    pieces = {"near": 0.0, "middle": 0.0, "far": 0.0}
-    pa = dilated_field(kernel, float(np.sqrt(window.a_lo * window.a_hi
-                                             ) or 1.0))
+    # near / middle / far split of the integrand of mu * P_a: a (points x
+    # atoms) array of terms, summed under one mask per piece
+    sub = pts[:: max(1, len(pts) // 500)]
+    contrib = _poisson_terms(spec, mu, kernel,
+                             np.sqrt(window.a_lo * window.a_hi) or 1.0, sub)
     xin = norm(mu.xi)
-    for p in pts[:: max(1, len(pts) // 500)]:
-        ne = float(norm(p))
-        contrib = mu.w * pa.eval(spec.multiply(-mu.xi, p))
-        pieces["near"] = max(pieces["near"],
-                             float(np.sum(contrib[xin <= ne / 2])))
-        mid = (xin >= ne / 2) & (xin <= 2 * ne)
-        pieces["middle"] = max(pieces["middle"], float(np.sum(contrib[mid])))
-        pieces["far"] = max(pieces["far"],
-                            float(np.sum(contrib[xin >= 2 * ne])))
-    return {"weak": weak, "a0_values": [a0 * 2 ** m
-                                        for m in range(n_doublings)],
+    ne = norm(sub)[:, None]
+    masks = {"near": xin <= ne / 2,
+             "middle": (xin >= ne / 2) & (xin <= 2 * ne),
+             "far": xin >= 2 * ne}
+    pieces = {k: float(np.max(np.sum(contrib * m, axis=1)))
+              for k, m in masks.items()}
+    return {"weak": weak, "a0_values": [a0 * 2 ** m for m in range(3)],
             "sup_infinity": sups,
             "sup_nonincreasing": bool(all(sups[m + 1] <= sups[m] + 1e-12
                                           for m in range(len(sups) - 1))),
@@ -301,14 +290,13 @@ def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
 
 @dataclass
 class DyadicPiece:
-    """B(center, 2^{i0-i-3}) x [2^{i0-i-1}, 2^{i0-i}] with a status."""
+    """B(center, 2^{i0-i-3}) x [2^{i0-i-1}, 2^{i0-i}]."""
     i: int
     j: int
     center: np.ndarray
     radius: float
     a_lo: float
     a_hi: float
-    status: str = "plain"
     key: tuple = ()
 
 
@@ -356,11 +344,11 @@ def _lattice_coords(spec, s, ints):
     return np.asarray(ints, dtype=float) * scales * s ** d
 
 
-def _covering_radius(spec: GroupSpec, norm: HomogeneousNorm, samples=9):
-    """Max over the unit cell of the gauge distance to the nearest lattice
-    point, at lattice scale s = 1."""
+def _covering_radius(spec: GroupSpec, norm: HomogeneousNorm):
+    """Max over the unit cell (9 samples per axis) of the gauge distance to
+    the nearest lattice point, at lattice scale s = 1."""
     scales = _lattice_scales(spec)
-    axes = [np.linspace(0, scales[k], samples, endpoint=False)
+    axes = [np.linspace(0, scales[k], 9, endpoint=False)
             for k in range(spec.n)]
     pts = tensor_grid(axes).reshape(-1, spec.n)
     offs = tensor_grid([np.arange(-2, 3)] * spec.n).reshape(-1, spec.n)
@@ -392,8 +380,7 @@ def _lattice_points_near(spec, norm, s, xi, R):
     scales = _lattice_scales(spec)
     d = np.array([float(w) for w in spec.weights])
     step = scales * s ** d
-    ext = np.array([norm._axis_extent(k, R) for k in range(spec.n)])
-    hi = np.ceil(ext / step).astype(int)
+    hi = np.ceil(norm.box(R) / step).astype(int)
     if np.prod(2.0 * hi + 1.0) > 4e6:
         raise ValueError("covering lattice enumeration too large; "
                          "reduce depth or raise alpha")
@@ -406,7 +393,7 @@ def _lattice_points_near(spec, norm, s, xi, R):
 
 def _ball_samples(spec, norm, center, r, count, rng):
     """count points of B(center, r) (left-translated gauge ball)."""
-    ext = np.array([norm._axis_extent(k, r) for k in range(spec.n)])
+    ext = norm.box(r)
     out = np.empty((0, spec.n))
     while len(out) < count:
         b = rng.uniform(-1, 1, size=(4 * count, spec.n)) * ext
@@ -420,14 +407,13 @@ def _forbid_radius(i0, i, l, Q, Gamma):
 
 
 def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
-                   nu: AtomicMeasure, Gamma, alpha, i0, depth,
-                   samples_per_piece=32, seed=0):
+                   nu: AtomicMeasure, Gamma, alpha, i0, depth, seed=0):
     """Dyadic covering of {U_nu > alpha} inside K0 = B(0, 2^{i0}) x
     (0, 2^{i0}].
 
     Sweeps scales i = 0..depth in lexicographic order (scales ascending,
     lattice index row-major).  A piece is authorized when at least one of
-    `samples_per_piece` stratified samples exceeds alpha and no earlier
+    32 stratified samples (8 per height) exceeds alpha and no earlier
     authorized piece forbids it; an earlier piece (ip, jp) forbids
     everything within D_inf distance 2^{i0-ip+(i-ip)/(Q+Gamma)+1}.  Whole
     lattice neighborhoods provably inside a forbidden region are skipped
@@ -491,7 +477,6 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
             scale_centers = (r_i, [cc for _, cc in cand[:2000]])
         for j, (key, cc) in enumerate(cand):
             enumerated += 1
-            piece = DyadicPiece(i, j, cc, r_i, a_lo, a_hi, key=(i,) + key)
             owner = None
             for p in authorized:
                 rf = _forbid_radius(i0, p.i, i, Q, Gamma)
@@ -502,26 +487,20 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
                     owner = p
                     break
             if owner is not None:
-                piece.status = "forbidden"
                 forb_vol[owner.key] = forb_vol.get(owner.key, 0.0) \
                     + r_i ** Q * (a_hi - a_lo)
                 continue
-            hits = False
+            # deterministic extras: the center and any atoms inside
+            d_at = norm(spec.multiply(-cc, nu.xi))
+            extras = np.vstack([[cc], nu.xi[d_at <= r_i]])
             for a_s in np.linspace(a_lo, a_hi, 4):
-                pts = _ball_samples(spec, norm, cc, r_i,
-                                    samples_per_piece // 4, rng)
-                # deterministic extras: the center and any atoms inside
-                pts = np.vstack([pts, [cc]])
-                d_at = norm(spec.multiply(-cc, nu.xi))
-                if np.any(d_at <= r_i):
-                    pts = np.vstack([pts, nu.xi[d_at <= r_i]])
+                pts = np.vstack([_ball_samples(spec, norm, cc, r_i, 8, rng),
+                                 extras])
                 if np.any(U_nu(spec, norm, nu, Gamma, pts, float(a_s))
                           > alpha):
-                    hits = True
+                    authorized.append(DyadicPiece(i, j, cc, r_i, a_lo, a_hi,
+                                                  key=(i,) + key))
                     break
-            if hits:
-                piece.status = "authorized"
-                authorized.append(piece)
     # overlap measured on the densest enumerated scale
     kappa = 0
     if scale_centers[1]:
@@ -529,12 +508,11 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
         centers = np.array(centers)
         for p in centers[:: max(1, len(centers) // 100)]:
             probes = _ball_samples(spec, norm, p, r_m, 8, rng)
-            for q in probes:
-                kappa = max(kappa, int(np.sum(
-                    norm(spec.multiply(-centers, q)) <= r_m)))
-    tail_win = Window(tuple(nu.xi[0]),
-                      tuple(norm._axis_extent(k, max(1e-6, 2.0 ** i0))
-                            for k in range(spec.n)),
+            # centers x probes; one centre's 8 probes at a time keeps the
+            # array small
+            d = norm(spec.multiply(-centers[:, None, :], probes))
+            kappa = max(kappa, int(np.max(np.sum(d <= r_m, axis=0))))
+    tail_win = Window(tuple(nu.xi[0]), tuple(norm.box(max(1e-6, 2.0 ** i0))),
                       0.0, 2.0 ** (i0 - depth - 1))
     tail, _ = superlevel_measure(
         lambda e, a: U_nu(spec, norm, nu, Gamma, e, a), alpha, tail_win,
@@ -548,11 +526,12 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
         counts={"authorized": len(authorized)})
 
 
-def _piece_quadrature(spec, norm, piece, res_eta=5, res_a=3):
-    """Midpoint nodes and calibrated weights for B(c, r) x [a_lo, a_hi]."""
+def _piece_quadrature(spec, norm, piece):
+    """Midpoint nodes (5 per axis, 3 heights) and calibrated weights for
+    B(c, r) x [a_lo, a_hi]."""
     n = spec.n
-    ext = np.array([norm._axis_extent(k, piece.radius) for k in range(n)])
-    axes = [(-ext[k] + (np.arange(res_eta) + 0.5) * 2 * ext[k] / res_eta)
+    ext = norm.box(piece.radius)
+    axes = [(-ext[k] + (np.arange(5) + 0.5) * 2 * ext[k] / 5)
             for k in range(n)]
     b = tensor_grid(axes).reshape(-1, n)
     keep = norm(b) <= piece.radius
@@ -562,24 +541,23 @@ def _piece_quadrature(spec, norm, piece, res_eta=5, res_a=3):
     exact = piece.radius ** float(spec.Q)
     w_eta = np.full(len(b), exact / len(b))
     pts = spec.multiply(np.asarray(piece.center, dtype=float), b)
-    da = (piece.a_hi - piece.a_lo) / res_a
-    a_nodes = piece.a_lo + (np.arange(res_a) + 0.5) * da
+    da = (piece.a_hi - piece.a_lo) / 3
+    a_nodes = piece.a_lo + (np.arange(3) + 0.5) * da
     return pts, w_eta, a_nodes, da
 
 
-def u_piece(spec, norm, piece, Gamma, eta, res_eta=5, res_a=3):
+def u_piece(spec, norm, piece, Gamma, eta):
     """integral over the piece of a^{Gamma-1}/(a+|eta^{-1} xi|)^{Q+Gamma}."""
     eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    pts, w_eta, a_nodes, da = _piece_quadrature(spec, norm, piece,
-                                                res_eta, res_a)
+    pts, w_eta, a_nodes, da = _piece_quadrature(spec, norm, piece)
     Q = float(spec.Q)
-    out = np.zeros(len(eta))
-    for m, e in enumerate(eta):
-        d = norm(spec.multiply(-e, pts))
-        for a in a_nodes:
-            out[m] += float(np.sum(w_eta * a ** (Gamma - 1.0)
-                                   / (a + d) ** (Q + Gamma))) * da
-    return out
+    # axes (eta, a-node, quadrature point); the sum over points comes
+    # first, then the a-nodes are added in order
+    d = norm(spec.multiply(-eta[:, None, :], pts))[:, None, :]
+    a = a_nodes[:, None]
+    per_a = np.sum(w_eta * a ** (Gamma - 1.0) / (a + d) ** (Q + Gamma),
+                   axis=-1)
+    return np.sum(per_a * da, axis=-1)
 
 
 def U_i_profile(cert: CoveringCertificate, spec, norm, eta):
@@ -593,8 +571,7 @@ def U_i_profile(cert: CoveringCertificate, spec, norm, eta):
 
 
 def verify_covering(cert: CoveringCertificate, spec, norm,
-                    nu: AtomicMeasure, resolution=41, seed=0,
-                    samples_per_piece=32):
+                    nu: AtomicMeasure, resolution=41, seed=0):
     """Measured constants for the three covering properties, the forbidden
     volume bound per authorized piece, and the weak-type chain."""
     Gamma, alpha = cert.Gamma, cert.alpha
@@ -614,8 +591,7 @@ def verify_covering(cert: CoveringCertificate, spec, norm,
              ** max(Gamma - 1.0, 0.0) / alpha) ** (1.0 / (Q + Gamma))
     lo = np.min(nu.xi, axis=0)
     hi = np.max(nu.xi, axis=0)
-    ext = np.array([norm._axis_extent(k, min(reach, 2.0 ** (cert.i0 + 1)))
-                    for k in range(spec.n)])
+    ext = norm.box(min(reach, 2.0 ** (cert.i0 + 1)))
     # fixed height floor so the measured set does not move with depth
     window = Window(tuple((lo + hi) / 2), tuple((hi - lo) / 2 + ext),
                     2.0 ** (cert.i0 - 12), 2.0 ** cert.i0)
@@ -635,8 +611,7 @@ def verify_covering(cert: CoveringCertificate, spec, norm,
     min_u = np.inf
     for p in cert.authorized:
         for a_s in np.linspace(p.a_lo, p.a_hi, 4):
-            pts = _ball_samples(spec, norm, p.center, p.radius,
-                                samples_per_piece // 4, rng)
+            pts = _ball_samples(spec, norm, p.center, p.radius, 8, rng)
             min_u = min(min_u, float(np.min(F(pts, float(a_s)))))
     report["min_U_on_pieces"] = min_u
     report["C_ii"] = alpha / min_u if np.isfinite(min_u) and min_u > 0 \

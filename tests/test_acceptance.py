@@ -136,7 +136,7 @@ def test_acceptance_03_haar_calibration():
     v1 = haar_integrate(lambda p: (LNORM(p) <= 2.0).astype(float), grid1,
                         LNORM.calibration())
     checks["doubled_ball_line"] = 0.99 < v1 / 2.0 < 1.01
-    ext = [1.1 * HNORM._axis_extent(k, 2.0) for k in range(3)]
+    ext = 1.1 * HNORM.box(2.0)
     grid4 = Grid([0.0] * 3, ext, [101] * 3)
     v4 = haar_integrate(lambda p: (HNORM(p) <= 2.0).astype(float), grid4,
                         HNORM.calibration())

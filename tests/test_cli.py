@@ -264,3 +264,27 @@ def test_emit_table_empty_and_schema(tmp_path):
     assert parse_table(path) == []
     with pytest.raises(InputError):
         emit_table([{"a": 1}, {"b": 2}], "csv", str(tmp_path / "x.csv"))
+
+
+def test_emit_table_json_is_strict(tmp_path):
+    path = str(tmp_path / "t.json")
+    emit_table([{"x": float("inf"), "y": float("nan"), "z": 1.5}], "json",
+               path)
+    with open(path, encoding="utf-8") as fh:
+        back = json.load(fh, parse_constant=_refuse_constant)
+    assert back == [{"x": None, "y": None, "z": 1.5}]
+
+
+def test_weakl1_run_empty_measure(tmp_path):
+    measure = tmp_path / "empty.json"
+    measure.write_text(json.dumps({"atoms": []}))
+    out = str(tmp_path / "w.json")
+    status = main(["weakl1", "run", "--spec", "heisenberg", "--gamma", "1",
+                   "--measure", str(measure), "--alpha", "1", "--i0", "2",
+                   "--depth", "3", "--out", out])
+    assert status == 0
+    for path in (out, out + ".summary.json"):
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh, parse_constant=_refuse_constant)
+    assert read_json(out)["certificate"]["authorized"] == []
+    assert read_json(out + ".summary.json")["summary"]["authorized"] == 0

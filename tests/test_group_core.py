@@ -169,7 +169,7 @@ class TestNorms:
             assert_allclose(kappa, want, rtol=1e-15)
         # independent check: Monte-Carlo count of the unit ball in its
         # bounding box agrees with 1/kappa within 4 sigma
-        ext = np.array([N._axis_extent(k, 1.0) for k in range(G.n)])
+        ext = N.box(1.0)
         rng = np.random.default_rng(5)
         samples = 400_000
         inside = N(rng.uniform(-1.0, 1.0, (samples, G.n)) * ext) <= 1.0
@@ -177,6 +177,18 @@ class TestNorms:
         box = float(np.prod(2.0 * ext))
         sigma = box * math.sqrt(frac * (1.0 - frac) / samples)
         assert abs(box * frac - 1.0 / kappa) <= 4.0 * sigma
+
+    @pytest.mark.parametrize("G, variant", [
+        (heisenberg(), "even-power"),
+        (heisenberg(), "koranyi"),
+        (GroupSpec("weights113", (1, 1, 3)), "even-power"),
+        (random_step2(2, 2, seed=3), "even-power"),
+    ], ids=["heisenberg", "koranyi", "weights113", "step2"])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_box_reaches_the_sphere_on_each_axis(self, G, variant, r):
+        N = HomogeneousNorm(G, variant)
+        for k, h in enumerate(N.box(r)):
+            assert_allclose(N(h * np.eye(G.n)[k]), r, rtol=1e-12)
 
     def test_peetre_inequality(self):
         G = heisenberg()

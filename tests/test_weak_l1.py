@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,9 @@ from nilharmonics.group_core import GroupSpec, abelian, heisenberg, \
 from nilharmonics.kernels import KernelSpec
 from nilharmonics.weak_l1 import (
     AtomicMeasure, CoveringCertificate, UpperHalfPoint, Window, U_i_profile,
-    U_nu, _lattice_coords, _lattice_scales, build_covering,
-    mu_poisson_bounds, phi_gamma, superlevel_measure, verify_covering,
-    weak_l1_constant,
+    DyadicPiece, U_nu, _lattice_coords, _lattice_scales, build_covering,
+    measure_poisson, mu_poisson_bounds, phi_gamma, superlevel_measure,
+    u_piece, verify_covering, weak_l1_constant,
 )
 
 LINE = abelian(1)
@@ -101,6 +102,42 @@ def test_U_nu_line_value_and_symmetry():
 
 
 # -- superlevel measures and weak constants ----------------------------------
+
+THREE_ATOMS = AtomicMeasure([[0.0, 0.0, 0.0], [2.5, 0.0, 0.3],
+                             [-1.0, 0.5, 0.2]], [1.0, 0.7, 2.0])
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 2, 3)])
+@pytest.mark.parametrize("a", [0.7, "array"])
+def test_U_nu_is_the_sum_of_single_atoms(shape, a):
+    eta = np.random.default_rng(4).uniform(-2, 2, shape)
+    if a == "array":
+        a = np.linspace(0.3, 2.0, math.prod(shape[:-1])).reshape(shape[:-1])
+    singles = sum(U_nu(HEIS, HNORM, AtomicMeasure([x], [w]), 1.5, eta, a)
+                  for x, w in zip(THREE_ATOMS.xi, THREE_ATOMS.w))
+    got = U_nu(HEIS, HNORM, THREE_ATOMS, 1.5, eta, a)
+    assert np.shape(got) == shape[:-1]
+    assert_allclose(got, singles, rtol=1e-14)
+    empty = AtomicMeasure(np.empty((0, 3)), [])
+    assert np.all(U_nu(HEIS, HNORM, empty, 1.5, eta, a) == 0.0)
+
+
+def test_measure_poisson_scalar_height_matches_per_point_heights():
+    ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
+    eta = np.random.default_rng(5).uniform(-2, 2, (50, 3))
+    want = measure_poisson(HEIS, THREE_ATOMS, ker, 0.7, eta)
+    got = measure_poisson(HEIS, THREE_ATOMS, ker, np.full(50, 0.7), eta)
+    assert want.shape == (50,)
+    assert_allclose(got, want, rtol=1e-13)
+
+
+def test_u_piece_batch_matches_single_probes():
+    piece = DyadicPiece(2, 0, np.array([0.1, -0.2, 0.05]), 0.25, 0.5, 1.0)
+    probes = np.random.default_rng(6).uniform(-1, 1, (5, 3))
+    got = u_piece(HEIS, HNORM, piece, 1.5, probes)
+    singles = [u_piece(HEIS, HNORM, piece, 1.5, p)[0] for p in probes]
+    assert np.array_equal(got, singles)
+
 
 def test_superlevel_zero_function_and_large_alpha():
     win = Window((0.0,), (2.0,), 0.0, 2.0)
