@@ -104,8 +104,7 @@ def load_measure(path, n):
     loads as a (0, n) measure."""
     data = load_json(path)
     try:
-        return AtomicMeasure.from_json(data) if data["atoms"] else \
-            AtomicMeasure(np.empty((0, n)), [])
+        return AtomicMeasure.from_json(data, n)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad measure {path}: {exc}") from exc
 

@@ -9,11 +9,12 @@ from numpy.testing import assert_allclose
 from nilharmonics.group_core import GroupSpec, abelian, heisenberg, \
     random_step2, HomogeneousNorm
 from nilharmonics.kernels import KernelSpec
+from nilharmonics.io import load_measure
 from nilharmonics.weak_l1 import (
-    AtomicMeasure, CoveringCertificate, UpperHalfPoint, Window, U_i_profile,
-    DyadicPiece, U_nu, _lattice_coords, _lattice_scales, build_covering,
-    measure_poisson, mu_poisson_bounds, phi_gamma, superlevel_measure,
-    u_piece, verify_covering, weak_l1_constant,
+    AtomicMeasure, CoveringCertificate, Window, U_i_profile, DyadicPiece,
+    U_nu, _ball_samples, _forbid_radius, _lattice_coords, _lattice_scales,
+    build_covering, measure_poisson, mu_poisson_bounds, phi_gamma,
+    superlevel_measure, u_piece, verify_covering, weak_l1_constant,
 )
 
 LINE = abelian(1)
@@ -56,8 +57,6 @@ def test_phi_gamma_scale_covariance():
 def test_phi_gamma_rejects_nonpositive_height():
     with pytest.raises(ValueError):
         phi_gamma(LNORM, 1.0, np.array([[1.0]]), 0.0)
-    with pytest.raises(ValueError):
-        UpperHalfPoint((0.0,), -1.0)
 
 
 def test_atomic_measure_mass_moment_and_json():
@@ -69,6 +68,20 @@ def test_atomic_measure_mass_moment_and_json():
     assert_allclose(back.w, nu.w)
     with pytest.raises(ValueError):
         AtomicMeasure([[0.0]], [-1.0])
+
+
+def test_empty_measure_needs_its_dimension(tmp_path):
+    empty = AtomicMeasure(np.empty((0, 3)), [])
+    assert empty.xi.shape == (0, 3) and empty.total_mass == 0.0
+    for build in (lambda: AtomicMeasure([], []),
+                  lambda: AtomicMeasure.from_json({"atoms": []})):
+        with pytest.raises(ValueError, match="dimension n"):
+            build()
+    back = AtomicMeasure.from_json({"atoms": []}, n=3)
+    assert back.xi.shape == (0, 3) and back.w.shape == (0,)
+    path = tmp_path / "empty.json"
+    path.write_text('{"atoms": []}')
+    assert load_measure(str(path), 2).xi.shape == (0, 2)
 
 
 def test_atomic_measure_translation_moves_atoms():
@@ -137,6 +150,49 @@ def test_u_piece_batch_matches_single_probes():
     got = u_piece(HEIS, HNORM, piece, 1.5, probes)
     singles = [u_piece(HEIS, HNORM, piece, 1.5, p)[0] for p in probes]
     assert np.array_equal(got, singles)
+
+
+def _per_height_grid(F, alpha, window, res, na, calibration):
+    """The grid estimator of superlevel_measure, one height at a time."""
+    n = window.n
+    c, hw = np.array(window.center), np.array(window.half_widths)
+    vals = []
+    for shift in (0.0, 0.5):
+        axes, cell = [], 1.0
+        for k in range(n):
+            step = 2 * hw[k] / res
+            axes.append(c[k] - hw[k] + (np.arange(res) + 0.5 + shift) * step)
+            cell *= step
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, n)
+        edges = np.linspace(window.a_lo, window.a_hi, na + 1)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            am = 0.5 * (lo + hi)
+            total += float(np.sum(F(pts, am) > alpha)) * cell * (hi - lo)
+        vals.append(total * calibration)
+    return 0.5 * (vals[0] + vals[1]), abs(vals[0] - vals[1])
+
+
+@pytest.mark.parametrize("case", ["U_nu", "phi_gamma", "line", "no_height"])
+def test_superlevel_blocks_match_per_height_loop(case):
+    # enough points and heights that the heights come in several blocks
+    win = Window((0.5, 0.1, 0.1), (2.0, 1.5, 1.5), 0.05, 2.0)
+    res, na, alpha = 21, 61, 0.3
+    if case == "U_nu":
+        F = lambda e, a: U_nu(HEIS, HNORM, THREE_ATOMS, 1.5, e, a)
+    elif case == "phi_gamma":
+        F = lambda e, a: phi_gamma(HNORM, 1.0, e, a) / a
+    elif case == "line":
+        F = lambda e, a: phi_gamma(LNORM, 1.0, e, a) / a
+        win, res, na, alpha = Window((0.0,), (1.5,), 0.0, 1.2), 400, 1500, 1.0
+    else:
+        F, alpha = lambda e, a: HNORM(e), 1.0
+    cal = HNORM.calibration()
+    got = superlevel_measure(F, alpha, win, resolution=res, a_resolution=na,
+                             calibration=cal)
+    want = _per_height_grid(F, alpha, win, res, na, cal)
+    assert want[0] > 0
+    assert got == want
 
 
 def test_superlevel_zero_function_and_large_alpha():
@@ -332,6 +388,64 @@ def test_covering_line_depth_stable(line_cover):
     rep2 = verify_covering(cert2, LINE, LNORM, NU_LINE, resolution=161)
     for key in ("C_i", "C_ii", "C_iii"):
         assert abs(rep2[key] - rep[key]) <= 0.10 * abs(rep[key])
+
+
+@pytest.mark.parametrize("spec", [HEIS, random_step2(2, 2, seed=3)],
+                         ids=["heisenberg", "step2"])
+def test_ball_samples_fill_their_balls_uniformly(spec):
+    norm = HomogeneousNorm(spec)
+    rng = np.random.default_rng(8)
+    r = 0.7
+    centers = rng.uniform(-2, 2, (5, 4, spec.n))
+    pts = _ball_samples(spec, norm, centers, r, 50, rng)
+    assert pts.shape == (5, 4, 50, spec.n)
+    # each sample in its own translated ball, up to the rounding of the
+    # translation
+    d = norm(spec.multiply(-centers[..., None, :], pts))
+    assert np.all(d <= r * (1 + 1e-12))
+    # |B(0, r/2)| / |B(0, r)| = 2^-Q for a uniform sampler
+    count = 40000
+    share = np.mean(norm(_ball_samples(spec, norm, np.zeros(spec.n), r,
+                                       count, rng)) <= r / 2)
+    p = 2.0 ** -float(spec.Q)
+    assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / count)
+
+
+def _check_covering_invariants(cert, spec, norm):
+    pieces = cert.authorized
+    assert [(p.i, p.j) for p in pieces] == sorted((p.i, p.j) for p in pieces)
+    assert set(cert.forbidden_volume) <= {p.key for p in pieces}
+    Q = float(spec.Q)
+    for m, q in enumerate(pieces):
+        for p in pieces[:m]:
+            d_eta = max(norm(spec.multiply(-p.center, q.center))
+                        - p.radius - q.radius, 0.0)
+            d_a = max(p.a_lo - q.a_hi, 0.0)
+            assert max(d_eta, d_a) >= _forbid_radius(cert.i0, p.i, q.i, Q,
+                                                     cert.Gamma)
+
+
+def test_covering_line_invariants(line_cover):
+    _check_covering_invariants(line_cover[0], LINE, LNORM)
+
+
+def test_covering_heisenberg_invariants(heis_cover):
+    _check_covering_invariants(heis_cover[0], HEIS, HNORM)
+
+
+def test_covering_gauge_calls_are_batched(monkeypatch):
+    calls = []
+    gauge = HomogeneousNorm.__call__
+
+    def counted(self, eta):
+        calls.append(1)
+        return gauge(self, eta)
+
+    monkeypatch.setattr(HomogeneousNorm, "__call__", counted)
+    cert = build_covering(HEIS, HNORM, NU_HEIS, 1.0, 20.0, 2, 4)
+    verify_covering(cert, HEIS, HNORM, NU_HEIS, resolution=35)
+    # one gauge call per candidate, as a loop would make, is over 10,000
+    assert len(calls) < 2000
 
 
 def test_covering_heisenberg_properties(heis_cover):
