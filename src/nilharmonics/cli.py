@@ -142,8 +142,10 @@ def _cmd_extend_run(cfg):
             for a, v, lim, err in result["rows"]]
     bad = [] if all(np.isfinite(row["value"]) for row in rows) \
         else ["finite-extension"]
-    return rows, {"rows": rows, "slope": result.get("slope"),
-                  "monotone": result.get("monotone")}, bad
+    if not result["monotone"]:  # the error must fall as a shrinks
+        bad.append("boundary-convergence")
+    return rows, {"rows": rows, "slope": result["slope"],
+                  "monotone": result["monotone"]}, bad
 
 
 def _cmd_weakl1_run(cfg):

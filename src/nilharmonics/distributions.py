@@ -19,28 +19,10 @@ import sympy
 
 from .calculus import OperatorWord, build_field, leibniz_tilde_coeff, \
     multi_indices_upto, sub_multi_indices
-from .group_core import GroupSpec, HomogeneousNorm
+from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .kernels import KernelSpec, _sweep_points, dilated_field
 from .polynomials import Polynomial, Profile, SmoothField
-from .quadrature import Grid, _evaluate, _grading_for, check_map, convolve
-
-
-def weight_field(norm: HomogeneousNorm, mu):
-    """omega_mu = (1 + Phi(|eta|))^mu as a SmoothField over the gauge
-    polynomial, with the quintic bridge written piecewise in u = N(eta);
-    invariant derivatives of the weight are then exact."""
-    M = norm.M
-    u = sympy.Symbol("u")
-    x = u ** sympy.Rational(1, 2 * M)
-    v = x - 1
-    bridge = 1 + 6 * v ** 3 - 8 * v ** 4 + 3 * v ** 5
-    mu_s = sympy.nsimplify(mu, rational=True)
-    expr = sympy.Piecewise(
-        (sympy.Integer(2) ** mu_s, u <= 1),
-        ((1 + bridge) ** mu_s, u < sympy.Integer(2) ** (2 * M)),
-        ((1 + x) ** mu_s, True))
-    prof = Profile(expr, name=f"omega({mu})")
-    return SmoothField(norm.gauge_polynomial(), prof)
+from .quadrature import Grid, _evaluate, _grading_for, convolve
 
 
 def flat_top_profile():
@@ -54,20 +36,6 @@ def flat_top_profile():
         (1 - (6 * v ** 3 - 8 * v ** 4 + 3 * v ** 5), u < 2),
         (0, True))
     return Profile(expr, support_cap=2.0, name="flat_top")
-
-
-def scale_derivative_field(kernel: KernelSpec, a):
-    """(a d/da) P_a as an exact SmoothField: differentiating
-    a^{-Q} P(delta_{1/a} eta) in log a gives the dilate of
-    -Q P - sum_k d_k theta_k (d_k P)."""
-    spec = kernel.spec
-    G = kernel.field.scale(-float(spec.Q))
-    for k, d in enumerate(spec.weights):
-        ek = tuple(int(j == k) for j in range(spec.n))
-        G = G + kernel.field.diff(k).mul_poly(Polynomial(spec.n, {ek: -d}))
-    f = G.dilate_arg(1.0 / float(a), spec.weights)
-    return f.mul_poly(Polynomial.constant(spec.n,
-                                          float(a) ** -float(spec.Q)))
 
 
 class TestFunction:
@@ -323,7 +291,7 @@ def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, a=1.0,
     spec, norm = kernel.spec, kernel.norm
     w_plus = weight_field(norm, float(spec.Q) + kernel.Gamma)
     w_minus = weight_field(norm, -float(spec.Q) - kernel.Gamma)
-    pk_check = check_map(spec, dilated_field(kernel, a))
+    pk_check = dilated_field(kernel, a).negate_coords()
 
     def conv_phi(p):
         return convolve(spec, phi, pk_check, p, grid)

@@ -6,8 +6,9 @@ array of shape ``(..., n)`` is a batch of elements).  Inversion is coordinate
 negation, dilations scale coordinate ``k`` by ``a**d_k``.
 
 The module also provides homogeneous norms (a default even-power gauge for
-any group, the Koranyi gauge on the Heisenberg group) and the smooth weight
-functions ``omega_mu`` built from a fixed polynomial bridge.
+any group, the Koranyi gauge on the Heisenberg group) and the smooth weights
+``omega_mu``, exact SmoothFields over the gauge polynomial whose profile is
+glued from 2^mu and (1 + |eta|)^mu by a fixed quintic bridge.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
-from .polynomials import Polynomial
+from .polynomials import Polynomial, Profile, SmoothField
 
 
 def tensor_grid(axes):
@@ -288,31 +290,22 @@ def peetre_factor(norm: HomogeneousNorm, eta, xi, r):
 
 # -- weight functions omega_mu ---------------------------------------------
 
-# Bridge on [1,2]: the unique monotone quintic gluing 1 to x with C^2 contact,
-# Phi(1+u) = 1 + 6u^3 - 8u^4 + 3u^5.
-_BRIDGE = (6.0, -8.0, 3.0)
-
-
-def bridge(x):
-    """Phi: 1 on [0,1], x on [2,inf), monotone quintic in between."""
-    x = np.asarray(x, dtype=float)
-    u = np.clip(x - 1.0, 0.0, 1.0)
-    a, b, c = _BRIDGE
-    mid = 1.0 + u ** 3 * (a + u * (b + u * c))
-    return np.where(x <= 1.0, 1.0, np.where(x >= 2.0, x, mid))
-
-
-class WeightFunction:
-    """omega_mu(eta) = (1 + Phi(|eta|))^mu, a smooth stand-in for
-    (1+|eta|)^mu: equal to 2^mu on the unit ball and to (1+|eta|)^mu
-    outside radius 2."""
-
-    def __init__(self, mu, norm: HomogeneousNorm):
-        self.mu = float(mu)
-        self.norm = norm
-
-    def __call__(self, eta):
-        return (1.0 + bridge(self.norm(eta))) ** self.mu
-
-    def reciprocal(self):
-        return WeightFunction(-self.mu, self.norm)
+def weight_field(norm: HomogeneousNorm, mu):
+    """omega_mu = (1 + Phi(|eta|))^mu as a SmoothField over the gauge
+    polynomial u = N(eta), a smooth stand-in for (1 + |eta|)^mu: 2^mu on
+    the unit ball, (1 + |eta|)^mu outside radius 2, and in between the
+    unique monotone quintic with C^2 contact, Phi(1 + v) =
+    1 + 6v^3 - 8v^4 + 3v^5.  Invariant derivatives of the weight are
+    exact."""
+    M = norm.M
+    u = sympy.Symbol("u")
+    x = u ** sympy.Rational(1, 2 * M)
+    v = x - 1
+    bridge = 1 + 6 * v ** 3 - 8 * v ** 4 + 3 * v ** 5
+    mu_s = sympy.nsimplify(mu, rational=True)
+    expr = sympy.Piecewise(
+        (sympy.Integer(2) ** mu_s, u <= 1),
+        ((1 + bridge) ** mu_s, u < sympy.Integer(2) ** (2 * M)),
+        ((1 + x) ** mu_s, True))
+    prof = Profile(expr, name=f"omega({mu})")
+    return SmoothField(norm.gauge_polynomial(), prof)

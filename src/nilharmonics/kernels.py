@@ -11,6 +11,9 @@ the matching scale-uniform bounds.  Two built-in families:
 * ``model_power`` on any homogeneous group:  (1+N(eta))^{-(Q+Gamma)/(2M)}
   with N the even-power gauge polynomial, normalized to P(0) = 1.
 
+Every kernel quantity is an exact SmoothField: the dilates P_a, the scale
+derivatives (a d/da)^k P_a and the comparison weights omega_mu, so the
+harmonicity residual of the classical family is computed without a grid.
 Certification is empirical: measured sup-ratios over a sweep, accepted only
 when stable under doubling the sweep domain.
 """
@@ -22,9 +25,8 @@ from math import gamma as gamma_fn, pi
 
 import numpy as np
 
-from .calculus import OperatorWord, build_conversion, central_difference, \
-    multi_indices_upto
-from .group_core import GroupSpec, HomogeneousNorm, WeightFunction
+from .calculus import OperatorWord, build_conversion, multi_indices_upto
+from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .polynomials import Polynomial, Profile, SmoothField
 import sympy
 
@@ -79,8 +81,8 @@ class KernelSpec:
 
     def weight(self, extra=0.0):
         """The comparison weight omega_{-Q-Gamma-extra}."""
-        return WeightFunction(-(float(self.spec.Q) + self.Gamma + extra),
-                              self.norm)
+        return weight_field(self.norm,
+                            -(float(self.spec.Q) + self.Gamma + extra))
 
 
 def dilate_kernel(kernel: KernelSpec, a, eta):
@@ -94,22 +96,26 @@ def dilate_kernel(kernel: KernelSpec, a, eta):
 
 def dilated_field(kernel: KernelSpec, a):
     """P_a as a SmoothField (exact symbolic derivatives in eta)."""
+    return scale_derivative(kernel, 0, a)
+
+
+def scale_derivative(kernel: KernelSpec, k, a):
+    """(a d/da)^k P_a as an exact SmoothField, k = 0, 1, 2.
+
+    Differentiating a^{-Q} P(delta_{1/a} eta) in log a gives the dilate of
+    E P = -Q P - sum_j d_j theta_j (d_j P), so (a d/da)^k P_a is
+    a^{-Q} (E^k P)(delta_{1/a} eta)."""
+    if k not in (0, 1, 2):
+        raise ValueError("scale derivatives are available for k = 0, 1, 2")
     spec = kernel.spec
-    f = kernel.field.dilate_arg(1.0 / a, spec.weights)
-    return f.mul_poly(Polynomial.constant(
+    f = kernel.field
+    for _ in range(k):
+        Ef = f.scale(-float(spec.Q))
+        for j, d in enumerate(spec.weights):
+            Ef = Ef + f.diff(j).mul_poly(Polynomial.coordinate(spec.n, j) * -d)
+        f = Ef
+    return f.dilate_arg(1.0 / a, spec.weights).mul_poly(Polynomial.constant(
         spec.n, float(a) ** -float(spec.Q)))
-
-
-def scale_derivative(kernel: KernelSpec, k, a, eta, rel_step=1e-3):
-    """(a d/da)^k P_a(eta), via central differences in log a (so the
-    operator a d/da is a plain d/ds with s = log a)."""
-    eta = np.asarray(eta, dtype=float)
-    if k == 0:
-        return dilate_kernel(kernel, a, eta)
-    h = rel_step
-    s0 = np.log(a)
-    return central_difference(
-        lambda m: dilate_kernel(kernel, np.exp(s0 + m * h), eta), h, k)
 
 
 def _sweep_points(norm: HomogeneousNorm, radius, n_dirs, n_radii, seed=0):
@@ -187,11 +193,13 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
 
     # (iii) scale derivatives of P_a against a^{-Q} omega(delta_{1/a} .)
     for k in range(1, max_scale_order + 1):
-        def measure(rad, k=k):
+        fields = [(a, scale_derivative(kernel, k, a)) for a in scales]
+
+        def measure(rad, fields=fields):
             worst = 0.0
-            for a in scales:
+            for a, field in fields:
                 pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
-                lhs = np.abs(scale_derivative(kernel, k, a, pts))
+                lhs = np.abs(field.eval(pts))
                 maj = a ** -float(spec.Q) * w0(spec.dilate(1.0 / a, pts))
                 worst = max(worst, _sup_ratio(lhs, maj))
             return worst
@@ -235,11 +243,13 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
     return report
 
 
-def harmonicity_residual(kernel: KernelSpec, x_points, a_points, h=1e-3):
-    """Max over the (x, a) grid of a^2 |Delta_{x,a} P_a(x)|, 4th-order FD.
+def harmonicity_residual(kernel: KernelSpec, x_points, a_points):
+    """Max over the (x, a) grid of a^2 |Delta_{x,a} P_a(x)|, exact.
 
-    Only the classical family solves the upper-half-space Laplace equation;
-    any other family is refused.
+    With E = a d/da, a^2 d^2/da^2 = E^2 - E, so the residual is
+    |a^2 sum_k d_k^2 P_a + (E^2 - E) P_a| from exact fields.  Only the
+    classical family solves the upper-half-space Laplace equation; any
+    other family is refused.
     """
     if kernel.family != "classical_abelian":
         raise ValueError("harmonicity is only claimed for the "
@@ -248,17 +258,12 @@ def harmonicity_residual(kernel: KernelSpec, x_points, a_points, h=1e-3):
     if np.any(a_points <= 0):
         raise ValueError("the half-space boundary a = 0 must be excluded")
     x_points = np.asarray(x_points, dtype=float)
-    n = kernel.spec.n
     worst = 0.0
     for a in a_points:
-        lap = np.zeros(x_points.shape[:-1])
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            lap += central_difference(
-                lambda m: dilate_kernel(kernel, a, x_points + m * e), h, 2)
-        ha = h * a
-        lap += central_difference(
-            lambda m: dilate_kernel(kernel, a + m * ha, x_points), ha, 2)
-        worst = max(worst, float(np.max(a ** 2 * np.abs(lap))))
+        Pa = dilated_field(kernel, a)
+        lap = sum(Pa.diff(k).diff(k).eval(x_points)
+                  for k in range(kernel.spec.n))
+        res = a ** 2 * lap + scale_derivative(kernel, 2, a).eval(x_points) \
+            - scale_derivative(kernel, 1, a).eval(x_points)
+        worst = max(worst, float(np.max(np.abs(res))))
     return worst

@@ -188,6 +188,23 @@ def test_extend_run_converges(tmp_path, dist_file):
     assert all(np.isfinite(r["value"]) for r in rows)
 
 
+def test_extend_run_wrong_kernel_mass_fails(tmp_path, dist_file):
+    # the limit taken with half the kernel's mass is never approached, so
+    # the error grows as a shrinks and the convergence verdict fails
+    out = str(tmp_path / "ext.csv")
+    status = main(["extend", "run", "--spec", "abelian_R1",
+                   "--kernel", "classical_abelian", "--gamma", "1",
+                   "--dist", dist_file, "--a-list", "1,0.5,0.25",
+                   "--resolution", "12", "--kernel-mass", "0.5",
+                   "--out", out])
+    assert status == 2
+    errs = [r["error"] for r in parse_table(out)]
+    assert errs[0] < errs[1] < errs[2]
+    summary = read_json(out + ".summary.json")
+    assert summary["failed_checks"] == ["boundary-convergence"]
+    assert summary["summary"]["monotone"] is False
+
+
 def test_weakl1_run_and_determinism(tmp_path, measure_file, monkeypatch):
     outs = []
     for k in range(2):

@@ -5,13 +5,13 @@ import pytest
 import scipy.integrate as si
 from numpy.testing import assert_allclose
 
-from nilharmonics.calculus import OperatorWord
+from nilharmonics.calculus import OperatorWord, central_difference
 from nilharmonics.distributions import (
     DistributionRep, TestFunction, boundary_convergence,
     derivative_commute_residual, extension_weighted_norm, flat_top_profile,
     pair, pair_unweighted, poisson_extend, regularize,
-    scale_derivative_field, sconvolvability_witness, sub_multi_indices,
-    weight_field, _convolve_terms)
+    sconvolvability_witness, sub_multi_indices, weight_field,
+    _convolve_terms)
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
 from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
 from nilharmonics.polynomials import (Polynomial, SmoothField,
@@ -53,11 +53,22 @@ def test_weight_field_matches_closed_form():
     assert_allclose(w.eval(x[2:]), [(1 + 5.0) ** 2, 41.0 ** 2], rtol=1e-14)
 
 
+def numeric_weight(norm, mu):
+    """Reference omega_mu = (1 + Phi(|eta|))^mu from the gauge itself, with
+    the bridge Phi(1 + v) = 1 + 6v^3 - 8v^4 + 3v^5 between radii 1 and 2."""
+    def w(eta):
+        r = norm(eta)
+        v = np.clip(r - 1.0, 0.0, 1.0)
+        bridge = 1.0 + v ** 3 * (6.0 + v * (-8.0 + 3.0 * v))
+        phi = np.where(r <= 1.0, 1.0, np.where(r >= 2.0, r, bridge))
+        return (1.0 + phi) ** mu
+    return w
+
+
 def test_weight_field_agrees_with_group_core_weight():
-    from nilharmonics.group_core import WeightFunction
     for mu in (-3.0, 0.5, 2.0):
         w = weight_field(HNORM, mu)
-        ref = WeightFunction(mu, HNORM)
+        ref = numeric_weight(HNORM, mu)
         pts = np.random.default_rng(3).normal(scale=2.0, size=(50, 3))
         assert_allclose(w.eval(pts), ref(pts), rtol=1e-12)
 
@@ -132,13 +143,12 @@ def test_pair_of_derivative_is_minus_int_g_phi_prime():
 def test_pair_weighted_derivative_against_quad():
     # <omega_2 X g, phi> = int g'(x) omega_2(x) phi(x) dx, with the left
     # side going through the normal-form Leibniz rearrangement
-    from nilharmonics.group_core import WeightFunction
     g = line_gaussian()
     phi_field = line_gaussian(2.0, 1.0)
     phi = TestFunction(LINE, phi_field, "schwartz-like")
     T = DistributionRep(LINE, LNORM, 1.0, [((1,), g)])
     got = pair(T, phi, Grid([0.0], [16.0], [1201]))
-    w = WeightFunction(2.0, LNORM)
+    w = numeric_weight(LNORM, 2.0)
     ref = si.quad(
         lambda t: -t * np.exp(-t * t / 2) * w(np.array([[t]]))[0]
         * phi_field.eval(np.array([[t]]))[0], -16, 16, limit=200)[0]
@@ -314,16 +324,27 @@ def test_scale_derivative_two_paths():
     hs = 1e-3
     lhs = (poisson_extend(T, ker, a * np.exp(hs), eta, grid)
            - poisson_extend(T, ker, a * np.exp(-hs), eta, grid)) / (2 * hs)
-    sdf = scale_derivative_field(ker, a)
+    sdf = scale_derivative(ker, 1, a)
     rhs = _convolve_terms(T, sdf.negate_coords(), eta, grid)
     assert np.max(np.abs(lhs - rhs)) < 1e-4
+
+
+def log_scale_fd(kernel, k, a, pts, h=1e-3):
+    """Reference (a d/da)^k P_a: 4th-order central differences of the
+    dilated kernel in s = log a."""
+    return central_difference(
+        lambda m: dilated_field(kernel, a * np.exp(m * h)).eval(pts), h, k)
 
 
 def test_scale_derivative_field_matches_fd_kernel():
     ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
     pts = np.random.default_rng(7).normal(size=(10, 3))
-    exact = scale_derivative_field(ker, 0.6).eval(pts)
-    assert_allclose(exact, scale_derivative(ker, 1, 0.6, pts), atol=1e-8)
+    exact = scale_derivative(ker, 1, 0.6).eval(pts)
+    assert_allclose(exact, log_scale_fd(ker, 1, 0.6, pts), atol=1e-8)
+    # the second difference divides rounding by h^2 = 1e-6: about 2e-9
+    # here, plus an O(h^4) truncation error
+    exact = scale_derivative(ker, 2, 0.6).eval(pts)
+    assert_allclose(exact, log_scale_fd(ker, 2, 0.6, pts), atol=1e-7)
 
 
 def test_pairing_two_paths_heisenberg():

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm, logm
 
 from nilharmonics.group_core import (
-    GroupSpec, HomogeneousNorm, WeightFunction, abelian, bridge, heisenberg,
-    peetre_factor, random_step2,
+    GroupSpec, HomogeneousNorm, abelian, heisenberg, peetre_factor,
+    random_step2, weight_field,
 )
 from nilharmonics.io import load_group
 
@@ -201,6 +201,13 @@ class TestNorms:
             assert np.all(lhs <= rhs * (1 + 1e-12))
 
 
+def bridge(x):
+    """Phi = omega_1 - 1 along the R^1 line, where the gauge is |x|."""
+    line = abelian(1)
+    w = weight_field(HomogeneousNorm(line), 1.0)
+    return w(np.abs(np.asarray(x, dtype=float))[..., None]) - 1.0
+
+
 class TestWeights:
     def test_bridge_values_and_smoothness(self):
         # [DERIVED] unique monotone quintic with C^2 contact at both ends
@@ -217,8 +224,9 @@ class TestWeights:
     def test_omega_plateau_and_tail(self):
         N = HomogeneousNorm(heisenberg(), "koranyi")
         for mu in [-3.0, 0.5, 2.0]:
-            w = WeightFunction(mu, N)
+            w = weight_field(N, mu)
             assert_allclose(w([0.5, 0.0, 0.0]), 2.0 ** mu, rtol=1e-14)
             far = np.array([5.0, 0.0, 0.0])
             assert_allclose(w(far), (1.0 + N(far)) ** mu, rtol=1e-14)
-            assert_allclose(w(far) * w.reciprocal()(far), 1.0, rtol=1e-14)
+            assert_allclose(w(far) * weight_field(N, -mu)(far), 1.0,
+                            rtol=1e-14)

@@ -1,5 +1,7 @@
-"""Source hygiene: every name a module imports is used in that module, and
-no module reaches into another object's private attributes."""
+"""Source hygiene: every name a module imports is used in that module, no
+module reaches into another object's private attributes, and each
+numerical idiom (the tensor grid, the finite-difference stencil) is called
+from one place only."""
 
 import ast
 from pathlib import Path
@@ -60,3 +62,50 @@ def test_private_attributes_are_found():
 def test_no_private_attribute_access(module):
     assert private_attributes((SRC / module).read_text(encoding="utf-8")) \
         == []
+
+
+def calls_of(source, name):
+    """(line, innermost enclosing function or None) of each call of
+    `name`, written either `name(...)` or `module.name(...)`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                called = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if called == name:
+                    found.append((child.lineno, scope))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_calls_are_found():
+    source = ("import numpy as np\n"
+              "def tensor_grid(axes):\n"
+              "    return np.meshgrid(*axes)\n"
+              "def other(g):\n"
+              "    return meshgrid(1) + g.meshgrid\n"
+              "np.meshgrid(3)\n")
+    assert calls_of(source, "meshgrid") == [
+        (3, "tensor_grid"), (5, "other"), (6, None)]
+
+
+def callers(name):
+    """{(module, enclosing function)} over the modules of src/."""
+    return {(path.name, scope) for path in SRC.glob("*.py")
+            for _, scope in calls_of(path.read_text(encoding="utf-8"),
+                                     name)}
+
+
+def test_meshgrid_only_in_tensor_grid():
+    assert callers("meshgrid") == {("group_core.py", "tensor_grid")}
+
+
+def test_central_difference_only_in_calculus():
+    assert {module for module, _ in callers("central_difference")} \
+        == {"calculus.py"}

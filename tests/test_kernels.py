@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 from numpy.testing import assert_allclose
 
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
@@ -7,6 +8,7 @@ from nilharmonics.kernels import (
     KernelSpec, certify_RGamma, dilate_kernel, dilated_field,
     harmonicity_residual, scale_derivative,
 )
+from nilharmonics.polynomials import Profile, SmoothField
 from nilharmonics.quadrature import Grid, convolve, haar_integrate
 
 
@@ -109,14 +111,14 @@ class TestScaleDerivative:
         P = classical()
         x = np.linspace(-4, 4, 17)[:, None]
         for a in [0.5, 1.0, 3.0]:
-            got = scale_derivative(P, 1, a, x)
+            got = scale_derivative(P, 1, a).eval(x)
             want = a * (x[:, 0] ** 2 - a ** 2) \
                 / (np.pi * (a ** 2 + x[:, 0] ** 2) ** 2)
             assert_allclose(got, want, atol=1e-9)
 
     def test_order_limit(self):
         with pytest.raises(ValueError):
-            scale_derivative(classical(), 3, 1.0, np.zeros(1))
+            scale_derivative(classical(), 3, 1.0)
 
 
 class TestCertify:
@@ -153,14 +155,27 @@ class TestHarmonicity:
     def test_r1_at_origin(self):
         res = harmonicity_residual(classical(), np.zeros((1, 1)),
                                    np.array([1.0]))
-        assert res < 1e-8
+        assert res <= 1e-13
 
     def test_r2_random(self):
+        # the points and scales of acceptance 06
         rng = np.random.default_rng(4)
         pts = rng.uniform(-3, 3, (20, 2))
         res = harmonicity_residual(classical(2), pts,
                                    np.array([0.5, 1.0, 2.0]))
-        assert res < 1e-6
+        assert res <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_wrong_profile_exponent_fails(self, n):
+        # (1+|x|^2)^{-n/2} in place of the harmonic -(n+1)/2
+        P = classical(n)
+        u = sympy.Symbol("u")
+        P.field = SmoothField(P.field.base, Profile(
+            P.c * (1 + u) ** sympy.Rational(-n, 2), name="perturbed"))
+        rng = np.random.default_rng(4)
+        pts = np.vstack([np.zeros((1, n)), rng.uniform(-3, 3, (20, n))])
+        res = harmonicity_residual(P, pts, np.array([0.5, 1.0, 2.0]))
+        assert res > 0.1
 
     def test_model_power_refused(self):
         with pytest.raises(ValueError):

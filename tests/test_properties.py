@@ -1,0 +1,80 @@
+"""Property tests on random step-2 groups: the group law, the dilations,
+the check map and the exact scale derivatives of the model kernel."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+
+from nilharmonics.calculus import central_difference
+from nilharmonics.group_core import HomogeneousNorm, random_step2
+from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
+from nilharmonics.quadrature import check_map
+
+PROPERTY = settings(max_examples=20, deadline=None)
+
+
+@st.composite
+def step2_specs(draw):
+    """random_step2(n1, n2, seed) with n = n1 + n2 <= 5."""
+    n1 = draw(st.integers(1, 4))
+    n2 = draw(st.integers(0, 5 - n1))
+    return random_step2(n1, n2, seed=draw(st.integers(0, 2 ** 16)))
+
+
+def points(spec, seed, count=16, scale=2.0):
+    return np.random.default_rng(seed).normal(scale=scale,
+                                              size=(count, spec.n))
+
+
+def model_kernel(spec, Gamma):
+    return KernelSpec(spec, HomogeneousNorm(spec), "model_power",
+                      Gamma=Gamma)
+
+
+def log_scale_fd(kernel, k, a, pts, h=1e-3):
+    """Reference (a d/da)^k P_a: 4th-order central differences of the
+    dilated kernel in s = log a."""
+    return central_difference(
+        lambda m: dilated_field(kernel, a * np.exp(m * h)).eval(pts), h, k)
+
+
+@PROPERTY
+@given(step2_specs(), st.integers(0, 2 ** 16))
+def test_associativity(spec, seed):
+    x, y, z = (points(spec, seed + i) for i in range(3))
+    assert_allclose(spec.multiply(spec.multiply(x, y), z),
+                    spec.multiply(x, spec.multiply(y, z)), atol=1e-12)
+
+
+@PROPERTY
+@given(step2_specs(), st.integers(0, 2 ** 16), st.floats(0.1, 10.0))
+def test_dilation_is_an_automorphism(spec, seed, a):
+    x, y = points(spec, seed), points(spec, seed + 1)
+    lhs = spec.dilate(a, spec.multiply(x, y))
+    rhs = spec.multiply(spec.dilate(a, x), spec.dilate(a, y))
+    assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-12)
+
+
+@PROPERTY
+@given(step2_specs(), st.integers(0, 2 ** 16), st.data())
+def test_negate_coords_is_the_check_map(spec, seed, data):
+    # the kernel is even; its partial derivatives have odd coefficients
+    field = model_kernel(spec, 1.0).field
+    field = field.diff(data.draw(st.integers(0, spec.n - 1)))
+    eta = points(spec, seed)
+    assert_array_equal(field.negate_coords()(eta),
+                       check_map(spec, field)(eta))
+
+
+@PROPERTY
+@given(step2_specs(), st.integers(0, 2 ** 16), st.floats(0.25, 4.0),
+       st.sampled_from([0.5, 1.0, 2.0]))
+def test_scale_derivative_matches_log_scale_fd(spec, seed, a, Gamma):
+    kernel = model_kernel(spec, Gamma)
+    pts = points(spec, seed, scale=1.0)
+    for k in (1, 2):
+        exact = scale_derivative(kernel, k, a).eval(pts)
+        ref = log_scale_fd(kernel, k, a, pts)
+        # rounding of the k-th difference over h^k, plus O(h^4)
+        assert_allclose(exact, ref, atol=1e-7 * max(1.0, np.max(
+            np.abs(exact))))
