@@ -27,13 +27,15 @@ from .quadrature import Grid, _evaluate, _grading_for, convolve
 
 def flat_top_profile():
     """C^2 profile equal to 1 for u <= 1, gliding to 0 on [1, 2] along the
-    same quintic used by the weight bridge; paired with the gauge
-    polynomial it gives a test function equal to 1 on the unit ball."""
+    smoothstep quintic 10v^3 - 15v^4 + 6v^5, whose first and second
+    derivatives vanish at both ends; paired with the gauge polynomial it
+    gives a test function equal to 1 on the unit ball.  (The weight's
+    bridge is a different quintic: it meets slope 1, not a flat top.)"""
     u = sympy.Symbol("u")
     v = u - 1
     expr = sympy.Piecewise(
         (1, u <= 1),
-        (1 - (6 * v ** 3 - 8 * v ** 4 + 3 * v ** 5), u < 2),
+        (1 - (10 * v ** 3 - 15 * v ** 4 + 6 * v ** 5), u < 2),
         (0, True))
     return Profile(expr, support_cap=2.0, name="flat_top")
 
@@ -180,87 +182,57 @@ def pair_unweighted(T: DistributionRep, phi: TestFunction, grid: Grid):
 
 
 def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
-                    grid: Grid, iota=None):
+                    grid: Grid, iota=None, form="first"):
     """(T * psi)(eta) = sum_alpha (-1)^{|alpha|} sum_{beta<=alpha}
-    lambda(alpha,beta) int f(xi) (Xt^{alpha-beta} omega)(xi)
-    (Xt^beta psi-check)(eta^{-1} xi) dxi; with iota set, the outer word
-    X^iota is applied under the integral through the check map."""
+    lambda(alpha,beta) (u * g)(eta), one group convolution per Leibniz
+    term, with u = f Xt^{alpha-beta} omega (f alone when mu = 0, where the
+    weight is 1) and g = (Xt^beta psi-check)-check.  With iota set, the
+    outer word is taken under the integral: X^iota (u * g) = u * X^iota g."""
     spec = T.spec
-    eta = np.asarray(eta, dtype=float)
-    single = eta.ndim == 1
-    etas = eta.reshape(-1, spec.n)
-    xi = grid.flat_points
-    w = grid.flat_weights
-    out = np.zeros(len(etas))
-    step = max(1, 2 ** 21 // len(xi))
+    out = np.zeros(np.shape(eta)[:-1])
     for alpha, beta, f, lam, wd in T.leibniz_terms():
-        sign = (-1) ** sum(alpha)
-        kd = OperatorWord(spec, "Xt", beta).apply_symbolic(psi_check_field)
+        u = f if T.mu == 0.0 else \
+            (lambda p, f=f, wd=wd: _evaluate(f, p) * wd.eval(p))
+        g = OperatorWord(spec, "Xt", beta).apply_symbolic(
+            psi_check_field).negate_coords()
         if iota is not None and sum(iota) > 0:
-            # X^iota in eta of F(eta^{-1} xi) is ((X^iota F-check)-check)
-            # at the same argument
-            kd = OperatorWord(spec, "X", iota).apply_symbolic(
-                kd.negate_coords()).negate_coords()
-        inner = _evaluate(f, xi) * wd.eval(xi)
-        for i0 in range(0, len(etas), step):
-            e = etas[i0:i0 + step, None, :]
-            arg = spec.multiply(-e, xi[None, :, :])
-            out[i0:i0 + step] += sign * lam * (
-                (inner[None, :] * kd.eval(arg)) @ w)
-    return out[0] if single else out.reshape(eta.shape[:-1])
+            g = OperatorWord(spec, "X", iota).apply_symbolic(g)
+        out = out + (-1) ** sum(alpha) * lam * convolve(spec, u, g, eta,
+                                                        grid, form=form)
+    return out
+
+
+def _pa_check(T: DistributionRep, kernel: KernelSpec, a):
+    """P_a-check for an extension of T, refusing a kernel with another
+    Gamma and a non-positive scale."""
+    if abs(T.Gamma - kernel.Gamma) > 1e-12:
+        raise ValueError("distribution and kernel carry different Gamma")
+    if a <= 0:
+        raise ValueError("scale parameter must be positive")
+    return dilated_field(kernel, a).negate_coords()
 
 
 def poisson_extend(T: DistributionRep, kernel: KernelSpec, a, eta,
                    grid: Grid, iota=None):
-    """The function (T * P_a)(eta); with iota, X^iota(T * P_a)(eta) with
-    the derivative taken under the integral."""
-    if abs(T.Gamma - kernel.Gamma) > 1e-12:
-        raise ValueError("distribution and kernel carry different Gamma")
-    if a <= 0:
-        raise ValueError("scale parameter must be positive")
-    pk_check = dilated_field(kernel, a).negate_coords()
-    return _convolve_terms(T, pk_check, eta, grid, iota=iota)
+    """The function (T * P_a)(eta), in the first form over the density
+    grid; with iota, X^iota(T * P_a)(eta) with the derivative taken under
+    the integral."""
+    return _convolve_terms(T, _pa_check(T, kernel, a), eta, grid, iota=iota)
 
 
 def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
                           span=4.0, count=31):
-    """(T * P_a)(eta) in the kernel-centered chart xi = eta delta_a zeta:
-    the dilated kernel becomes the a-independent (Xt^beta P-check)(zeta)
-    while the densities are pulled back, so one graded zeta-grid resolves
-    every scale a.  The zeta box extends (span/a)^{d_k} per axis, which
-    covers any density supported in a euclidean box of size ~span."""
-    if abs(T.Gamma - kernel.Gamma) > 1e-12:
-        raise ValueError("distribution and kernel carry different Gamma")
-    if a <= 0:
-        raise ValueError("scale parameter must be positive")
+    """(T * P_a)(eta) in the second form int u(eta xi^{-1}) g(xi) dxi over
+    a kernel-centered grid: its nodes are xi = delta_a zeta for a graded
+    zeta-box of half-widths (span/a)^{d_k}, so one zeta resolution serves
+    every scale a, and the box covers any density supported in a euclidean
+    box of size ~span around eta."""
+    pa_check = _pa_check(T, kernel, a)
     spec = T.spec
-    a = float(a)
-    eta = np.asarray(eta, dtype=float)
-    single = eta.ndim == 1
-    etas = eta.reshape(-1, spec.n)
-    radius = span / a
-    hw = [radius ** float(d) for d in spec.weights]
-    grading = _grading_for(radius, spec.weights, count,
-                           center_spacing=6.0 / count)
-    zgrid = Grid([0.0] * spec.n, hw, [count] * spec.n, grading=grading)
-    zeta = zgrid.flat_points
-    wz = zgrid.flat_weights
-    dz = spec.dilate(a, zeta)
-    pk_check = kernel.field.negate_coords()
-    out = np.zeros(len(etas))
-    step = max(1, 2 ** 20 // len(zeta))
-    for alpha, beta, f, lam, wd in T.leibniz_terms():
-        sign = (-1) ** sum(alpha)
-        kd = OperatorWord(spec, "Xt", beta).apply_symbolic(pk_check)
-        db = float(sum(b * float(d) for b, d in zip(beta, spec.weights)))
-        kvals = kd.eval(zeta) * wz
-        for i0 in range(0, len(etas), step):
-            xi = spec.multiply(etas[i0:i0 + step, None, :], dz[None, :, :])
-            inner = _evaluate(f, xi)
-            if T.mu != 0.0:  # else the weight is identically 1
-                inner = inner * wd.eval(xi)
-            out[i0:i0 + step] += sign * lam * a ** (-db) * (inner @ kvals)
-    return out[0] if single else out.reshape(eta.shape[:-1])
+    grid = Grid(np.zeros(spec.n), [span ** float(d) for d in spec.weights],
+                count, grading=_grading_for(span / a, spec.weights, count,
+                                            center_spacing=6.0 / count))
+    return _convolve_terms(T, pa_check, eta, grid, form="second")
 
 
 def regularize(T: DistributionRep, phi_field: SmoothField, eta, grid: Grid,

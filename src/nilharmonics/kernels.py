@@ -163,8 +163,14 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
                                      "doubled_sup_ratio": r2, "stable": ok}
         report["passed"] = report["passed"] and ok
 
+    alphas = [a for a in multi_indices_upto(spec.n, int(max_alpha_weight))
+              if 0 < spec.mdeg(a) <= max_alpha_weight]
+    # one comparison weight omega_{-Q-Gamma-extra} per distinct extra
+    weights = {extra: kernel.weight(extra) for extra in
+               {0.0} | {float(spec.mdeg(a)) for a in alphas}}
+
     # (i) two-sided comparability with omega_{-Q-Gamma}
-    w0 = kernel.weight()
+    w0 = weights[0.0]
 
     def comparability_upper(rad):
         pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
@@ -178,11 +184,8 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
     record("comparability_lower", comparability_lower)
 
     # (ii) left-invariant derivative bounds, exact symbolic derivatives
-    alphas = [a for a in multi_indices_upto(spec.n, int(max_alpha_weight))
-              if 0 < spec.mdeg(a) <= max_alpha_weight]
     for alpha in alphas:
-        d_alpha = float(spec.mdeg(alpha))
-        wa = kernel.weight(extra=d_alpha)
+        wa = weights[float(spec.mdeg(alpha))]
         deriv = OperatorWord(spec, "X", alpha).apply_symbolic(kernel.field)
 
         def measure(rad, deriv=deriv, wa=wa):
@@ -197,8 +200,8 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
 
         def measure(rad, fields=fields):
             worst = 0.0
+            pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
             for a, field in fields:
-                pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
                 lhs = np.abs(field.eval(pts))
                 maj = a ** -float(spec.Q) * w0(spec.dilate(1.0 / a, pts))
                 worst = max(worst, _sup_ratio(lhs, maj))
@@ -210,14 +213,14 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
     # a^{-Q-d(alpha)} omega_{-Q-Gamma-d(alpha)}(delta_{1/a} .)
     for alpha in alphas:
         d_alpha = float(spec.mdeg(alpha))
-        wa = kernel.weight(extra=d_alpha)
+        wa = weights[d_alpha]
+        derivs = [(a, OperatorWord(spec, "X", alpha).apply_symbolic(
+            dilated_field(kernel, a))) for a in scales]
 
-        def measure(rad, alpha=alpha, d_alpha=d_alpha, wa=wa):
+        def measure(rad, d_alpha=d_alpha, wa=wa, derivs=derivs):
             worst = 0.0
-            for a in scales:
-                fa = dilated_field(kernel, a)
-                deriv = OperatorWord(spec, "X", alpha).apply_symbolic(fa)
-                pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
+            pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
+            for a, deriv in derivs:
                 maj = a ** -(float(spec.Q) + d_alpha) \
                     * wa(spec.dilate(1.0 / a, pts))
                 worst = max(worst, _sup_ratio(np.abs(deriv.eval(pts)), maj))
@@ -229,8 +232,7 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
     for alpha in alphas:
         if sum(alpha) > 3:
             continue
-        d_alpha = float(spec.mdeg(alpha))
-        wa = kernel.weight(extra=d_alpha)
+        wa = weights[float(spec.mdeg(alpha))]
         table = build_conversion(spec, alpha)
         deriv = table.apply_symbolic(kernel.field)
 

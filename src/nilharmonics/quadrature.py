@@ -115,29 +115,27 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first"):
 
     form='first' evaluates  int f(xi) g(xi^{-1} eta) dlambda(xi),
     form='second' the equal int f(eta xi^{-1}) g(xi) dlambda(xi);
-    'both' returns the pair for cross-checking.
+    'both' returns the pair for cross-checking.  The factor that lives on
+    the grid alone is evaluated once and folded into the weights.
     """
+    if form not in ("first", "second", "both"):
+        raise ValueError(f"unknown form {form!r}")
+    forms = ("first", "second") if form == "both" else (form,)
     eta = np.asarray(eta, dtype=float)
     single = eta.ndim == 1
     etas = eta.reshape(-1, spec.n)
     xi = grid.flat_points
-    w = grid.flat_weights
-    forms = ("first", "second") if form == "both" else (form,)
+    step = max(1, 2 ** 20 // len(xi))  # (eta, xi) pairs per chunk
     outs = []
-    step = max(1, 2 ** 21 // len(xi))
     for fm in forms:
+        fixed, moving = (f, g) if fm == "first" else (g, f)
+        w = _evaluate(fixed, xi) * grid.flat_weights
         out = np.empty(len(etas))
         for i0 in range(0, len(etas), step):
             e = etas[i0:i0 + step, None, :]
-            if fm == "first":
-                vals = _evaluate(f, xi)[None, :] * _evaluate(
-                    g, spec.multiply(-xi[None, :, :], e))
-            elif fm == "second":
-                vals = _evaluate(f, spec.multiply(e, -xi[None, :, :])) \
-                    * _evaluate(g, xi)[None, :]
-            else:
-                raise ValueError(f"unknown form {fm!r}")
-            out[i0:i0 + step] = vals @ w
+            arg = spec.multiply(-xi[None, :, :], e) if fm == "first" \
+                else spec.multiply(e, -xi[None, :, :])
+            out[i0:i0 + step] = _evaluate(moving, arg) @ w
         outs.append(out[0] if single else out.reshape(eta.shape[:-1]))
     return outs[0] if len(outs) == 1 else tuple(outs)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.integrate as si
+import sympy
 from numpy.testing import assert_allclose
 
 from nilharmonics.calculus import OperatorWord, central_difference
@@ -246,6 +247,21 @@ def test_poisson_extend_iota_matches_fd():
     fd = (poisson_extend(T, ker, 0.8, eta + h, grid)
           - poisson_extend(T, ker, 0.8, eta - h, grid)) / (2 * h)
     assert np.max(np.abs(got - fd)) < 1e-5
+
+
+def test_poisson_extend_iota_matches_fd_heisenberg():
+    # the word under the integral is the left-invariant X^iota in eta; on
+    # Heisenberg the right-invariant Y^iota differs by about 30-60% here
+    g = heis_bump(1.2, (0.3, 0.2, -0.1))
+    T = DistributionRep(HEIS, HNORM, 1.0, [((1, 0, 0), g)])
+    ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
+    grid = Grid([0.3, 0.2, -0.1], [1.3] * 3, [21] * 3)
+    eta = np.array([[0.2, 0.9, 0.1], [-0.4, -0.7, 0.3]])
+    for iota in ((1, 0, 0), (0, 1, 0)):
+        got = poisson_extend(T, ker, 0.8, eta, grid, iota=iota)
+        fd = OperatorWord(HEIS, "X", iota).as_callable(
+            lambda p: poisson_extend(T, ker, 0.8, p, grid))(eta)
+        assert_allclose(got, fd, rtol=1e-7)
 
 
 def test_poisson_extend_rejects_nan_density():
@@ -524,6 +540,17 @@ def test_derivative_commute_requires_compact_support():
 
 
 # -------------------------------------------------- witnesses / norms
+
+
+def test_flat_top_profile_is_c2():
+    # value, slope and curvature of adjacent pieces agree exactly at the
+    # joins u = 1 and u = 2
+    prof = flat_top_profile()
+    pieces = [sympy.sympify(piece) for piece, _ in prof.expr.args]
+    for k in range(3):
+        d = [sympy.diff(piece, prof.u, k) for piece in pieces]
+        assert d[0].subs(prof.u, 1) == d[1].subs(prof.u, 1)
+        assert d[1].subs(prof.u, 2) == d[2].subs(prof.u, 2)
 
 
 def test_sconvolvability_witness_flat_top():

@@ -109,3 +109,9 @@ def test_meshgrid_only_in_tensor_grid():
 def test_central_difference_only_in_calculus():
     assert {module for module, _ in callers("central_difference")} \
         == {"calculus.py"}
+
+
+def test_distributions_has_no_group_law_loop():
+    # the extensions reach the group law only through quadrature.convolve
+    assert {caller for caller in callers("multiply")
+            if caller[0] == "distributions.py"} == set()

@@ -1,5 +1,6 @@
 """Property tests on random step-2 groups: the group law, the dilations,
-the check map and the exact scale derivatives of the model kernel."""
+the check map, the exact scale derivatives of the model kernel and the
+gauge box."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -78,3 +79,11 @@ def test_scale_derivative_matches_log_scale_fd(spec, seed, a, Gamma):
         # rounding of the k-th difference over h^k, plus O(h^4)
         assert_allclose(exact, ref, atol=1e-7 * max(1.0, np.max(
             np.abs(exact))))
+
+
+@PROPERTY
+@given(step2_specs(), st.floats(0.01, 100.0))
+def test_box_reaches_the_sphere_on_each_axis(spec, r):
+    # row k is box(r)[k] e_k, the far end of the box on axis k
+    norm = HomogeneousNorm(spec)
+    assert_allclose(norm(np.diag(norm.box(r))), r, rtol=1e-12)

@@ -83,6 +83,14 @@ class TestConvolve:
         a, b = convolve(G, f, g, eta, grid, form="both")
         assert_allclose(a, b, rtol=1e-4)
 
+    def test_unknown_form_raises_on_an_empty_batch(self):
+        # the form is checked before any (eta, xi) pair is evaluated
+        G = heisenberg()
+        f = lambda p: np.ones(p.shape[:-1])
+        with pytest.raises(ValueError):
+            convolve(G, f, f, np.empty((0, 3)), Grid([0.0] * 3, 1.0, 5),
+                     form="bogus")
+
     def test_check_identity(self):
         # f*g = (g-check * f-check)-check, two independent quadrature paths
         G = heisenberg()
