@@ -102,9 +102,9 @@ def _cmd_quad_irs(cfg):
                             np.geomspace(0.25, cfg.params["eta_max"], 9))
     rows = [{"eta_norm": float(t), "I_rs": val, "majorant": maj,
              "ratio": ratio} for t, val, maj, ratio in check["rows"]]
-    bad = [] if all(np.isfinite(row["ratio"]) for row in rows) \
-        else ["finite-ratio"]
-    return rows, {"rows": rows}, bad
+    bad = ([] if all(np.isfinite(row["ratio"]) for row in rows)
+           else ["finite-ratio"]) + ([] if check["bounded"] else ["bounded"])
+    return rows, {"rows": rows, "bounded": check["bounded"]}, bad
 
 
 def _cmd_kernel_certify(cfg):

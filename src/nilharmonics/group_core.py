@@ -2,8 +2,9 @@
 
 A group is described by its dilation weights and the structure constants of
 its polynomial group law; elements are plain numpy coordinate vectors (an
-array of shape ``(..., n)`` is a batch of elements).  Inversion is coordinate
-negation, dilations scale coordinate ``k`` by ``a**d_k``.
+array of shape ``(..., n)`` is a batch of elements; products come back
+coordinate-major).  Inversion is coordinate negation, dilations scale
+coordinate ``k`` by ``a**d_k``.
 
 The module also provides homogeneous norms (a default even-power gauge for
 any group, the Koranyi gauge on the Heisenberg group) and the smooth weights
@@ -90,11 +91,15 @@ class GroupSpec:
     # -- group operations ---------------------------------------------------
 
     def multiply(self, eta, xi):
+        """eta . xi, fresh, coordinate-major (each out[..., k] contiguous)."""
         eta = np.asarray(eta, dtype=float)
         xi = np.asarray(xi, dtype=float)
         if eta.shape[-1] != self.n or xi.shape[-1] != self.n:
             raise ValueError(f"expected coordinate vectors of length {self.n}")
-        out = eta + xi  # a fresh array: the in-place adds never reach eta, xi
+        out = np.moveaxis(np.empty((self.n,) + np.broadcast_shapes(
+            eta.shape[:-1], xi.shape[:-1])), 0, -1)
+        for k in range(self.n):  # the in-place adds never reach eta, xi
+            np.add(eta[..., k], xi[..., k], out=out[..., k])
         for k, term, eta_pows, xi_pows in self._law:
             # alpha and beta are both nonzero, so term spans the batch
             # shape of out

@@ -113,11 +113,7 @@ class Polynomial:
             return out
         # per-variable power tables, shared across monomials (much cheaper
         # than generic ** on large arrays)
-        maxp = [0] * self.n
-        for e in self.coeffs:
-            for k, p in enumerate(e):
-                if p > maxp[k]:
-                    maxp[k] = p
+        maxp = [max(col) for col in zip(*self.coeffs)]
         pows = []
         for k, m in enumerate(maxp):
             col = [None] * (m + 1)
@@ -132,10 +128,7 @@ class Polynomial:
             for k, p in enumerate(e):
                 if p:
                     term = pows[k][p] if term is None else term * pows[k][p]
-            if term is None:
-                out += float(c)
-            else:
-                out += float(c) * term
+            out += float(c) if term is None else float(c) * term
         return out
 
     def __call__(self, theta):
@@ -206,8 +199,10 @@ class Profile:
         # branch before masking; silence spurious warnings from the
         # discarded branches
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.support_cap is None:
-                return np.asarray(fn(u), dtype=float) * np.ones_like(u)
+            if self.support_cap is None:  # a fresh array of u's shape
+                vals = np.asarray(fn(u), dtype=float)
+                return vals if vals.shape == u.shape and vals is not u \
+                    else np.broadcast_to(vals, u.shape).copy()
             out = np.zeros_like(u)
             eps = 1e-12
             mask = u < self.support_cap - eps
@@ -258,7 +253,8 @@ class SmoothField:
         u = self.base.eval(theta)
         out = np.zeros(theta.shape[:-1])
         for k, poly in self.terms.items():
-            out = out + poly.eval(theta) * self.profile.eval_deriv(k, u)
+            out += (float(poly.constant_term()) if poly.is_constant()
+                    else poly.eval(theta)) * self.profile.eval_deriv(k, u)
         return out
 
     def __call__(self, theta):

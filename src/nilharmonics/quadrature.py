@@ -116,7 +116,8 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first"):
     form='first' evaluates  int f(xi) g(xi^{-1} eta) dlambda(xi),
     form='second' the equal int f(eta xi^{-1}) g(xi) dlambda(xi);
     'both' returns the pair for cross-checking.  The factor that lives on
-    the grid alone is evaluated once and folded into the weights.
+    the grid alone is evaluated once and folded into the weights.  Chunks
+    of 2^16 (eta, xi) pairs keep each temporary (512 KB) in L2 cache.
     """
     if form not in ("first", "second", "both"):
         raise ValueError(f"unknown form {form!r}")
@@ -125,7 +126,7 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first"):
     single = eta.ndim == 1
     etas = eta.reshape(-1, spec.n)
     xi = grid.flat_points
-    step = max(1, 2 ** 20 // len(xi))  # (eta, xi) pairs per chunk
+    step = max(1, 2 ** 16 // len(xi))  # (eta, xi) pairs per chunk
     outs = []
     for fm in forms:
         fixed, moving = (f, g) if fm == "first" else (g, f)
@@ -295,17 +296,26 @@ def irs_bound_check(norm: HomogeneousNorm, r, s, eta_values, count=25):
     """Sweep I_{r,s} along a ray and report the ratio to the majorant.
 
     eta_values: array of gauge radii; the sweep walks eta = delta_t e_1.
+    'bounded' is acceptance 05's rule: the sup ratio grows by less than 5%
+    when a point at twice the largest radius joins the sweep.  A sweep that
+    ends too early for that gets up to two more doublings.
     """
     spec = norm.spec
-    e1 = np.zeros(spec.n)
-    e1[0] = 1.0
+    e1 = np.eye(spec.n)[0]
     e1 = e1 / norm(e1)
-    rows = []
-    for t in np.asarray(eta_values, dtype=float):
+
+    def ratio_row(t):
         eta = spec.dilate(t, e1) if t > 0 else np.zeros(spec.n)
         val = I_rs(norm, r, s, eta, count=count)
         maj = float(irs_majorant(norm, r, s, t))
-        rows.append((t, val, maj, val / maj))
-    ratios = [row[3] for row in rows]
-    return {"rows": rows, "sup_ratio": max(ratios),
-            "bounded": max(ratios) < 1e6}
+        return t, val, maj, val / maj
+
+    ts = np.asarray(eta_values, dtype=float)
+    rows = [ratio_row(t) for t in ts]
+    sup_ratio = grown = max(row[3] for row in rows)
+    for t in 2.0 ** np.arange(1, 4) * ts.max():
+        sup, grown = grown, max(ratio_row(t)[3], grown)  # nan: not bounded
+        if grown < 1.05 * sup:
+            break
+    return {"rows": rows, "sup_ratio": sup_ratio,
+            "bounded": bool(grown < 1.05 * sup)}

@@ -155,6 +155,16 @@ def test_quad_irs_table(tmp_path):
     assert rows[0]["eta_norm"] == pytest.approx(0.25)
 
 
+def test_quad_irs_fails_without_the_log(tmp_path, capsys):
+    # r = -Q exactly takes the log majorant; 1e-9 above it does not, and
+    # the ratio keeps growing past eta_max
+    common = ["quad", "irs", "--spec", "heisenberg", "--s", "-1.5",
+              "--eta-max", "64", "--out", str(tmp_path / "irs.csv")]
+    assert main(common + ["--r", "-4"]) == 0
+    assert main(common + ["--r", "-3.999999999"]) == 2
+    assert "check failed: bounded" in capsys.readouterr().out
+
+
 def test_kernel_certify_pass(tmp_path):
     out = str(tmp_path / "cert.json")
     status = main(["kernel", "certify", "--spec", "abelian_R1",

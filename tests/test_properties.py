@@ -1,13 +1,14 @@
-"""Property tests on random step-2 groups: the group law, the dilations,
-the check map, the exact scale derivatives of the model kernel and the
-gauge box."""
+"""Property tests on random step-2 groups: the group law and its
+coordinate-major layout, the dilations, the check map, the exact scale
+derivatives of the model kernel and the gauge box."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nilharmonics.calculus import central_difference
-from nilharmonics.group_core import HomogeneousNorm, random_step2
+from nilharmonics.group_core import HomogeneousNorm, heisenberg, random_step2
 from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
 from nilharmonics.quadrature import check_map
 
@@ -45,6 +46,45 @@ def test_associativity(spec, seed):
     x, y, z = (points(spec, seed + i) for i in range(3))
     assert_allclose(spec.multiply(spec.multiply(x, y), z),
                     spec.multiply(x, spec.multiply(y, z)), atol=1e-12)
+
+
+def multiply_summed(spec, eta, xi):
+    """eta + xi plus each structure term, in the canonical order, with no
+    layout chosen: the reference values of GroupSpec.multiply."""
+    out = eta + xi
+    for (k, alpha, beta), c in spec.structure:
+        term = float(c)
+        for x, pows in ((eta, alpha), (xi, beta)):
+            for j, p in enumerate(pows):
+                if p:
+                    term = term * (x[..., j] if p == 1 else x[..., j] ** p)
+        out[..., k] += term
+    return out
+
+
+@PROPERTY
+@given(st.one_of(step2_specs(), st.just(heisenberg())),
+       st.integers(0, 2 ** 16))
+def test_multiply_is_coordinate_major_and_exact(spec, seed):
+    n = spec.n
+    rng = np.random.default_rng(seed)
+    for eta_shape, xi_shape in [((n,), (n,)), ((4, 1, n), (1, 7, n)),
+                                ((7, n), (n,)), ((n,), (7, n))]:
+        eta = rng.normal(scale=2.0, size=eta_shape)
+        xi = rng.normal(scale=2.0, size=xi_shape)
+        kept = eta.copy(), xi.copy()
+        out = spec.multiply(eta, xi)
+        assert out.shape == np.broadcast_shapes(eta_shape, xi_shape)
+        assert_array_equal(out, multiply_summed(spec, *kept))
+        assert all(out[..., k].flags.c_contiguous for k in range(n))
+        assert_array_equal(eta, kept[0])
+        assert_array_equal(xi, kept[1])
+        assert not np.shares_memory(out, eta) and \
+            not np.shares_memory(out, xi)
+    with pytest.raises(ValueError):
+        spec.multiply(np.zeros(n + 1), np.zeros(n))
+    with pytest.raises(ValueError):
+        spec.multiply(np.zeros((3, n)), np.zeros((3, n + 1)))
 
 
 @PROPERTY

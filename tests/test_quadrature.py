@@ -91,6 +91,22 @@ class TestConvolve:
             convolve(G, f, f, np.empty((0, 3)), Grid([0.0] * 3, 1.0, 5),
                      form="bogus")
 
+    @pytest.mark.parametrize("form", ["first", "second", "both"])
+    def test_chunk_boundaries(self, form):
+        # 25^3 = 15625 grid points do not divide the 2^16-pair chunk, and
+        # 11 etas take three chunks (4 + 4 + 3 etas); a batched call must
+        # equal the eta-by-eta calls
+        G = heisenberg()
+        f = lambda p: np.exp(-np.sum(p ** 2, axis=-1)) * (1.0 + p[..., 2])
+        g = lambda p: np.exp(-2.0 * np.sum((p - 0.1) ** 2, axis=-1))
+        grid = Grid([0.0] * 3, 3.0, 25)
+        assert 2 ** 16 % len(grid.flat_points) != 0
+        etas = np.random.default_rng(8).uniform(-1, 1, (11, 3))
+        batched = np.array(convolve(G, f, g, etas, grid, form=form))
+        single = np.array([convolve(G, f, g, eta, grid, form=form)
+                           for eta in etas]).T
+        assert_allclose(batched, single, rtol=1e-13, atol=0)
+
     def test_check_identity(self):
         # f*g = (g-check * f-check)-check, two independent quadrature paths
         G = heisenberg()
@@ -215,6 +231,15 @@ class TestIrs:
         ratios = [row[3] for row in report["rows"]]
         assert report["bounded"]
         assert max(ratios) < 3.0 * ratios[0] + 10.0
+
+    def test_bound_check_misses_a_log(self):
+        # r is 1e-9 above -Q, so the majorant has no log while the integral
+        # has one: the sup ratio still grows by 15% when eta_max doubles
+        N = HomogeneousNorm(heisenberg(), "koranyi")
+        report = irs_bound_check(N, -4.0 + 1e-9, -1.5,
+                                 np.geomspace(0.25, 64.0, 9), count=21)
+        assert np.isfinite(report["sup_ratio"])
+        assert not report["bounded"]
 
     def test_log_regime_needs_log(self):
         # r + Q = 0 regime on the line (with s + Q > 0 so both peaks
