@@ -288,13 +288,12 @@ def _conversion_table(spec, alpha):
 
 # -- identity residuals -----------------------------------------------------
 
-def conversion_residual(spec, alpha, max_degree=None):
+def conversion_residual(spec, alpha):
     """Max coefficient residual of (tilde-Y^alpha - sum Q X^beta) applied to
     all monomials of length <= d(alpha) + 2 (exact rational arithmetic)."""
     table = build_conversion(spec, alpha)
-    cap = max_degree if max_degree is not None else sum(alpha) + 2
     worst = Fraction(0)
-    for gamma in multi_indices_upto(spec.n, cap):
+    for gamma in multi_indices_upto(spec.n, sum(alpha) + 2):
         mono = Polynomial(spec.n, {gamma: 1})
         lhs = OperatorWord(spec, "Yt", alpha).apply_symbolic(mono)
         rhs = table.apply_symbolic(mono)

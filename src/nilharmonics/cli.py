@@ -30,12 +30,13 @@ class ExperimentConfig:
     inputs: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     out: str = None
-    fmt: str = "csv"
     seed: int = 0
 
     def plan(self):
+        fmt = "json" if self.out is not None and self.out.endswith(".json") \
+            else "csv"
         return {"command": self.command, "inputs": self.inputs,
-                "params": self.params, "out": self.out, "format": self.fmt,
+                "params": self.params, "out": self.out, "format": fmt,
                 "seed": self.seed}
 
 
@@ -53,14 +54,9 @@ def _csv_alphas(text):
             for part in text.split(";") if part.strip()]
 
 
-def _fmt_of(path):
-    return "json" if path is not None and path.endswith(".json") else "csv"
+# -- command bodies: (cfg, spec) -> (artifact, summary, failed checks) -------
 
-
-# -- command bodies ----------------------------------------------------------
-
-def _cmd_group_check(cfg):
-    spec = load_group(cfg.inputs["spec"])
+def _group_check(cfg, spec):
     rng = np.random.default_rng(cfg.seed)
     n = cfg.params["triples"]
     x, y, z = (rng.uniform(-3, 3, size=(n, spec.n)) for _ in range(3))
@@ -82,8 +78,7 @@ def _cmd_group_check(cfg):
     return rows, {"checks": rows}, bad
 
 
-def _cmd_calculus_identities(cfg):
-    spec = load_group(cfg.inputs["spec"])
+def _calculus_identities(cfg, spec):
     rows = []
     for alpha in cfg.params["alphas"]:
         if len(alpha) != spec.n:
@@ -95,10 +90,9 @@ def _cmd_calculus_identities(cfg):
     return rows, {"identities": rows}, bad
 
 
-def _cmd_quad_irs(cfg):
-    spec = load_group(cfg.inputs["spec"])
-    norm = HomogeneousNorm(spec)
-    check = irs_bound_check(norm, cfg.params["r"], cfg.params["s"],
+def _quad_irs(cfg, spec):
+    check = irs_bound_check(HomogeneousNorm(spec), cfg.params["r"],
+                            cfg.params["s"],
                             np.geomspace(0.25, cfg.params["eta_max"], 9))
     rows = [{"eta_norm": float(t), "I_rs": val, "majorant": maj,
              "ratio": ratio} for t, val, maj, ratio in check["rows"]]
@@ -107,10 +101,8 @@ def _cmd_quad_irs(cfg):
     return rows, {"rows": rows, "bounded": check["bounded"]}, bad
 
 
-def _cmd_kernel_certify(cfg):
-    spec = load_group(cfg.inputs["spec"])
-    norm = HomogeneousNorm(spec)
-    kernel = KernelSpec(spec, norm, cfg.params["family"],
+def _kernel_certify(cfg, spec):
+    kernel = KernelSpec(spec, HomogeneousNorm(spec), cfg.params["family"],
                         Gamma=cfg.params["gamma"])
     report = certify_RGamma(kernel, seed=cfg.seed)
     bad = [] if report["passed"] else [
@@ -119,8 +111,7 @@ def _cmd_kernel_certify(cfg):
     return report, {"passed": report["passed"]}, bad
 
 
-def _cmd_extend_run(cfg):
-    spec = load_group(cfg.inputs["spec"])
+def _extend_run(cfg, spec):
     norm = HomogeneousNorm(spec)
     Gamma = cfg.params["gamma"]
     kernel = KernelSpec(spec, norm, cfg.params["kernel"], Gamma=Gamma)
@@ -148,14 +139,24 @@ def _cmd_extend_run(cfg):
                   "monotone": result["monotone"]}, bad
 
 
-def _cmd_weakl1_run(cfg):
-    spec = load_group(cfg.inputs["spec"])
+def _covering(cfg, spec, nu, Gamma):
+    """Build and verify the dyadic covering of nu; returns the certificate,
+    the verification report and the failed checks."""
     norm = HomogeneousNorm(spec)
-    nu = load_measure(cfg.inputs["measure"], spec.n)
-    cert = build_covering(spec, norm, nu, cfg.params["gamma"],
-                          cfg.params["alpha"], cfg.params["i0"],
-                          cfg.params["depth"], seed=cfg.seed)
+    cert = build_covering(spec, norm, nu, Gamma, cfg.params["alpha"],
+                          cfg.params["i0"], cfg.params["depth"],
+                          seed=cfg.seed)
     report = verify_covering(cert, spec, norm, nu, seed=cfg.seed)
+    bad = [check for check, held in (
+        ("weak-type-chain", report["chain_holds"]),
+        ("disjoint-authorized-pieces", report["disjoint"])) if not held]
+    return cert, report, bad
+
+
+def _weakl1_run(cfg, spec):
+    cert, report, bad = _covering(
+        cfg, spec, load_measure(cfg.inputs["measure"], spec.n),
+        cfg.params["gamma"])
     payload = {
         "certificate": {
             "alpha": cert.alpha, "Gamma": cert.Gamma, "i0": cert.i0,
@@ -169,54 +170,76 @@ def _cmd_weakl1_run(cfg):
                             "radius": p.radius, "a_lo": p.a_lo,
                             "a_hi": p.a_hi} for p in cert.authorized]},
         "report": report}
-    bad = []
-    if not report["chain_holds"]:
-        bad.append("weak-type-chain")
-    if not report["disjoint"]:
-        bad.append("disjoint-authorized-pieces")
     return payload, {"authorized": len(cert.authorized),
                      "chain_holds": report["chain_holds"],
                      "disjoint": report["disjoint"]}, bad
 
 
-def _cmd_covering_demo(cfg):
-    spec = load_group(cfg.inputs["spec"])
-    norm = HomogeneousNorm(spec)
-    nu = AtomicMeasure(np.zeros((1, spec.n)), np.ones(1))
-    cfg.inputs["measure"] = "<unit atom at the origin>"
-    cert = build_covering(spec, norm, nu, 1.0, cfg.params["alpha"],
-                          cfg.params["i0"], cfg.params["depth"],
-                          seed=cfg.seed)
-    report = verify_covering(cert, spec, norm, nu, seed=cfg.seed)
+def _covering_demo(cfg, spec):
+    nu = AtomicMeasure(np.zeros((1, spec.n)), np.ones(1))  # unit atom at 0
+    cert, report, bad = _covering(cfg, spec, nu, 1.0)
     payload = {"authorized": len(cert.authorized), "report": report}
-    bad = [] if report["chain_holds"] and report["disjoint"] \
-        else ["weak-type-chain"]
     return payload, payload, bad
 
 
-_TABLE_COMMANDS = {"group check", "calculus identities", "quad irs",
-                   "extend run"}
-_BODIES = {"group check": _cmd_group_check,
-           "calculus identities": _cmd_calculus_identities,
-           "quad irs": _cmd_quad_irs,
-           "kernel certify": _cmd_kernel_certify,
-           "extend run": _cmd_extend_run,
-           "weakl1 run": _cmd_weakl1_run,
-           "covering demo": _cmd_covering_demo}
+# -- the command table -------------------------------------------------------
+# "group sub" -> (body, artifact is a table, [(flag, argparse kwargs)]).
+# The dests spec, dist and measure are inputs, out is the artifact, and
+# every other dest is a parameter of the run plan, in flag order.
+
+_REQ = {"required": True}
+_FLOAT = {"type": float, "required": True}
+_INT = {"type": int, "required": True}
+_INPUTS = ("spec", "dist", "measure")
+
+_COMMANDS = {
+    "group check": (_group_check, True, [
+        ("--spec", _REQ), ("--triples", {"type": int, "default": 1000}),
+        ("--out", {})]),
+    "calculus identities": (_calculus_identities, True, [
+        ("--spec", _REQ),
+        ("--alpha", {"dest": "alphas", "type": _csv_alphas, **_REQ,
+                     "help": "semicolon-separated multi-indices, "
+                             "e.g. 1,0;0,2"}),
+        ("--report", {"dest": "out", **_REQ})]),
+    "quad irs": (_quad_irs, True, [
+        ("--spec", _REQ), ("--r", _FLOAT), ("--s", _FLOAT),
+        ("--eta-max", _FLOAT), ("--out", _REQ)]),
+    "kernel certify": (_kernel_certify, False, [
+        ("--spec", _REQ), ("--family", _REQ), ("--gamma", _FLOAT),
+        ("--out", _REQ)]),
+    "extend run": (_extend_run, True, [
+        ("--spec", _REQ), ("--kernel", _REQ), ("--gamma", _FLOAT),
+        ("--dist", _REQ), ("--phi", {"default": "poly_bump"}),
+        ("--a-list", {"type": _csv_floats, **_REQ}),
+        ("--method", {"default": "direct"}),
+        ("--kernel-mass", {"type": float, "default": 1.0}),
+        ("--resolution", {"type": int, "default": 21}), ("--out", _REQ)]),
+    "weakl1 run": (_weakl1_run, False, [
+        ("--spec", _REQ), ("--gamma", _FLOAT), ("--measure", _REQ),
+        ("--alpha", _FLOAT), ("--i0", _INT), ("--depth", _INT),
+        ("--out", _REQ)]),
+    "covering demo": (_covering_demo, False, [
+        ("--spec", {"default": "abelian_R1"}),
+        ("--alpha", {"type": float, "default": 0.1}),
+        ("--i0", {"type": int, "default": 2}),
+        ("--depth", {"type": int, "default": 6}), ("--out", {})]),
+}
 
 
-def run(cfg: ExperimentConfig, dry_run=False, stream=None):
+def run(cfg: ExperimentConfig, dry_run=False):
     """Dispatch a config; returns the exit status."""
-    stream = stream or sys.stdout
+    plan = cfg.plan()
     if dry_run:
-        json.dump(cfg.plan(), stream, indent=2)
-        stream.write("\n")
+        json.dump(plan, sys.stdout, indent=2)
+        sys.stdout.write("\n")
         return 0
-    meta = metadata(cfg.seed, cfg.plan())
+    meta = metadata(cfg.seed, plan)
     summary_path = (cfg.out or cfg.command.replace(" ", "-")) \
         + ".summary.json"
+    body, is_table, _ = _COMMANDS[cfg.command]
     try:
-        result, summary, bad = _BODIES[cfg.command](cfg)
+        result, summary, bad = body(cfg, load_group(cfg.inputs["spec"]))
     except InputError:
         raise
     except ValueError as exc:  # bad parameter combinations from the library
@@ -224,8 +247,8 @@ def run(cfg: ExperimentConfig, dry_run=False, stream=None):
     status = 2 if bad else 0
     artifacts = []
     if cfg.out:
-        if cfg.command in _TABLE_COMMANDS:
-            emit_table(result, cfg.fmt, cfg.out)
+        if is_table:
+            emit_table(result, plan["format"], cfg.out)
         else:
             write_json({**result, "metadata": meta}, cfg.out)
         artifacts.append(cfg.out)
@@ -233,125 +256,43 @@ def run(cfg: ExperimentConfig, dry_run=False, stream=None):
                 "failed_checks": bad, "summary": summary,
                 "artifacts": artifacts, "metadata": meta}, summary_path)
     if bad:
-        stream.write(f"check failed: {bad[0]}\n")
+        sys.stdout.write(f"check failed: {bad[0]}\n")
     return status
 
 
 def build_parser():
     parser = _Parser(prog="nilharmonics", description=__doc__)
-    sub = parser.add_subparsers(dest="group_cmd", required=True)
-
+    groups = parser.add_subparsers(dest="group_cmd", required=True)
     nested = {}  # top-level command -> its subcommand action
-
-    def leaf(top, name):
+    for command, (_, _, flags) in _COMMANDS.items():
+        top, name = command.split()
         if top not in nested:
-            nested[top] = sub.add_parser(top).add_subparsers(
+            nested[top] = groups.add_parser(top).add_subparsers(
                 dest="sub_cmd", required=True)
         q = nested[top].add_parser(name)
         q.add_argument("--dry-run", action="store_true")
         q.add_argument("--seed", type=int, default=0)
-        return q
-
-    q = leaf("group", "check")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--triples", type=int, default=1000)
-    q.add_argument("--out")
-
-    q = leaf("calculus", "identities")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--alpha", required=True,
-                   help="semicolon-separated multi-indices, e.g. 1,0;0,2")
-    q.add_argument("--report", required=True)
-
-    q = leaf("quad", "irs")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--r", type=float, required=True)
-    q.add_argument("--s", type=float, required=True)
-    q.add_argument("--eta-max", type=float, required=True)
-    q.add_argument("--out", required=True)
-
-    q = leaf("kernel", "certify")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--family", required=True)
-    q.add_argument("--gamma", type=float, required=True)
-    q.add_argument("--out", required=True)
-
-    q = leaf("extend", "run")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--kernel", required=True)
-    q.add_argument("--gamma", type=float, required=True)
-    q.add_argument("--dist", required=True)
-    q.add_argument("--phi", default="poly_bump")
-    q.add_argument("--a-list", required=True)
-    q.add_argument("--method", default="direct")
-    q.add_argument("--kernel-mass", type=float, default=1.0)
-    q.add_argument("--resolution", type=int, default=21)
-    q.add_argument("--out", required=True)
-
-    q = leaf("weakl1", "run")
-    q.add_argument("--spec", required=True)
-    q.add_argument("--gamma", type=float, required=True)
-    q.add_argument("--measure", required=True)
-    q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--i0", type=int, required=True)
-    q.add_argument("--depth", type=int, required=True)
-    q.add_argument("--out", required=True)
-
-    q = leaf("covering", "demo")
-    q.add_argument("--spec", default="abelian_R1")
-    q.add_argument("--alpha", type=float, default=0.1)
-    q.add_argument("--i0", type=int, default=2)
-    q.add_argument("--depth", type=int, default=6)
-    q.add_argument("--out")
+        for flag, kwargs in flags:
+            q.add_argument(flag, **kwargs)
     return parser
 
 
 def config_from_args(args):
     command = f"{args.group_cmd} {args.sub_cmd}"
     inputs, params = {}, {}
-    if command == "group check":
-        inputs["spec"] = args.spec
-        params["triples"] = args.triples
-        out = args.out
-    elif command == "calculus identities":
-        inputs["spec"] = args.spec
-        params["alphas"] = _csv_alphas(args.alpha)
-        out = args.report
-    elif command == "quad irs":
-        inputs["spec"] = args.spec
-        params.update(r=args.r, s=args.s, eta_max=args.eta_max)
-        out = args.out
-    elif command == "kernel certify":
-        inputs["spec"] = args.spec
-        params.update(family=args.family, gamma=args.gamma)
-        out = args.out
-    elif command == "extend run":
-        inputs.update(spec=args.spec, dist=args.dist)
-        params.update(kernel=args.kernel, gamma=args.gamma, phi=args.phi,
-                      a_list=_csv_floats(args.a_list), method=args.method,
-                      kernel_mass=args.kernel_mass,
-                      resolution=args.resolution)
-        out = args.out
-    elif command == "weakl1 run":
-        inputs.update(spec=args.spec, measure=args.measure)
-        params.update(gamma=args.gamma, alpha=args.alpha, i0=args.i0,
-                      depth=args.depth)
-        out = args.out
-    elif command == "covering demo":
-        inputs["spec"] = args.spec
-        params.update(alpha=args.alpha, i0=args.i0, depth=args.depth)
-        out = args.out
-    else:  # pragma: no cover - argparse enforces the tree
-        raise InputError(f"unknown command {command}")
+    for flag, kwargs in _COMMANDS[command][2]:
+        dest = kwargs.get("dest", flag[2:].replace("-", "_"))
+        if dest != "out":
+            plan = inputs if dest in _INPUTS else params
+            plan[dest] = getattr(args, dest)
     return ExperimentConfig(command=command, inputs=inputs, params=params,
-                            out=out, fmt=_fmt_of(out), seed=args.seed)
+                            out=args.out, seed=args.seed)
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        cfg = config_from_args(args)
-        return run(cfg, dry_run=args.dry_run)
+        return run(config_from_args(args), dry_run=args.dry_run)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -51,52 +51,51 @@ def load_group(ref):
     raise InputError(f"no such file or builtin group: {ref}")
 
 
+_DENSITY_SIZE = {"gaussian": "width", "poly_bump": "radius"}
+
+
 def density_from_json(n, data):
-    """A smooth density from {kind, params}."""
+    """A smooth density from {kind, params}: a gaussian or poly_bump
+    profile of sum_k (theta_k - shift_k)^2, divided by radius^2 for
+    poly_bump."""
     kind = data.get("kind")
     params = data.get("params", {})
     shift = np.asarray(params.get("shift", [0.0] * n), dtype=float)
     if len(shift) != n:
         raise InputError(f"density shift needs {n} coordinates")
+    if kind not in _DENSITY_SIZE:
+        raise InputError(f"unknown density kind {kind!r}")
+    size = params.get(_DENSITY_SIZE[kind], 1.0)
+    if not size > 0:
+        raise InputError(f"density {_DENSITY_SIZE[kind]} must be positive")
+    base = Polynomial.zero(n)
+    for k in range(n):
+        e = tuple(int(m == k) for m in range(n))
+        base = base + Polynomial(n, {tuple(2 * m for m in e): 1,
+                                     e: -2 * shift[k],
+                                     (0,) * n: shift[k] ** 2})
+    scale = params.get("scale", 1.0)
     if kind == "gaussian":
-        base = Polynomial.zero(n)
-        for k in range(n):
-            e = tuple(2 if m == k else 0 for m in range(n))
-            base = base + Polynomial(n, {e: 1}) \
-                - Polynomial(n, {tuple(1 if m == k else 0
-                                       for m in range(n)): 2 * shift[k]}) \
-                + Polynomial.constant(n, shift[k] ** 2)
-        return SmoothField(base, gaussian_profile(
-            params.get("scale", 1.0), params.get("width", 1.0)))
-    if kind == "poly_bump":
-        r = float(params.get("radius", 1.0))
-        base = Polynomial.zero(n)
-        for k in range(n):
-            e = tuple(2 if m == k else 0 for m in range(n))
-            base = base + (Polynomial(n, {e: 1})
-                           - Polynomial(n, {tuple(1 if m == k else 0
-                                                  for m in range(n)):
-                                            2 * shift[k]})
-                           + Polynomial.constant(n, shift[k] ** 2)) \
-                * Polynomial.constant(n, 1.0 / r ** 2)
-        return SmoothField(base, poly_bump_profile(
-            params.get("scale", 1.0), params.get("power", 6)))
-    raise InputError(f"unknown density kind {kind!r}")
+        return SmoothField(base, gaussian_profile(scale, size))
+    return SmoothField(base * (1.0 / float(size) ** 2),
+                       poly_bump_profile(scale, params.get("power", 6)))
 
 
 def load_distribution(path, spec, norm, Gamma):
     """A DistributionRep from {mu, terms: [{alpha, density}]}."""
     from .distributions import DistributionRep
     data = load_json(path)
-    terms = []
-    for t in data.get("terms", []):
-        alpha = tuple(int(v) for v in t["alpha"])
-        if len(alpha) != spec.n:
+    try:
+        terms = [(tuple(int(v) for v in t["alpha"]),
+                  density_from_json(spec.n, t["density"]))
+                 for t in data.get("terms", [])]
+        if any(len(alpha) != spec.n for alpha, _ in terms):
             raise InputError(f"alpha needs {spec.n} entries")
-        terms.append((alpha, density_from_json(spec.n, t["density"])))
-    if not terms:
-        raise InputError("distribution needs at least one term")
-    return DistributionRep(spec, norm, Gamma, terms, mu=data.get("mu"))
+        if not terms:
+            raise InputError("distribution needs at least one term")
+        return DistributionRep(spec, norm, Gamma, terms, mu=data.get("mu"))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise InputError(f"bad distribution {path}: {exc}") from exc
 
 
 def load_measure(path, n):

@@ -140,15 +140,14 @@ def _sup_ratio(lhs_abs, majorant):
     return float(np.max(lhs_abs / majorant))
 
 
-def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
-                   radius=100.0, n_dirs=24, n_radii=40, scales=(0.25, 1.0,
-                                                               4.0),
-                   stability_factor=1.05, seed=0):
+def certify_RGamma(kernel: KernelSpec, radius=100.0, n_dirs=24, n_radii=40,
+                   seed=0):
     """Measure the sup over a sweep of |estimate LHS| / majorant for the
     comparability bound, the invariant-derivative bounds (left words and,
     via conversion tables, reversed right words), and the scale-derivative
-    bounds; each ratio is re-measured on the doubled sweep domain and the
-    certificate passes only if no ratio grows by more than 5%.
+    bounds, for words of weight d(alpha) <= 2 and scale orders k <= 2 at
+    a = 1/4, 1, 4; each ratio is re-measured on the doubled sweep domain and
+    the certificate passes only if no ratio grows by more than 5%.
     """
     spec, norm = kernel.spec, kernel.norm
     report = {"family": kernel.family, "Gamma": kernel.Gamma,
@@ -158,13 +157,13 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
         r1 = measure(radius)
         r2 = measure(2 * radius)
         ok = np.isfinite(r1) and np.isfinite(r2) \
-            and r2 <= stability_factor * r1
+            and r2 <= 1.05 * r1
         report["estimates"][name] = {"sup_ratio": r1,
                                      "doubled_sup_ratio": r2, "stable": ok}
         report["passed"] = report["passed"] and ok
 
-    alphas = [a for a in multi_indices_upto(spec.n, int(max_alpha_weight))
-              if 0 < spec.mdeg(a) <= max_alpha_weight]
+    alphas = [a for a in multi_indices_upto(spec.n, 2)
+              if 0 < spec.mdeg(a) <= 2]
     # one comparison weight omega_{-Q-Gamma-extra} per distinct extra
     weights = {extra: kernel.weight(extra) for extra in
                {0.0} | {float(spec.mdeg(a)) for a in alphas}}
@@ -195,7 +194,8 @@ def certify_RGamma(kernel: KernelSpec, max_alpha_weight=2, max_scale_order=2,
         record(f"derivative_X_{alpha}", measure)
 
     # (iii) scale derivatives of P_a against a^{-Q} omega(delta_{1/a} .)
-    for k in range(1, max_scale_order + 1):
+    scales = (0.25, 1.0, 4.0)
+    for k in (1, 2):
         fields = [(a, scale_derivative(kernel, k, a)) for a in scales]
 
         def measure(rad, fields=fields):

@@ -253,10 +253,10 @@ def _irs_piece(norm, r, s, eta, radius, count, weight_sign, grading):
     return float(vals @ grid.flat_weights)
 
 
-def I_rs(norm: HomogeneousNorm, r, s, eta, count=25, tol=1e-4,
-         max_doublings=12):
+def I_rs(norm: HomogeneousNorm, r, s, eta, count=25, max_doublings=12):
     """I_{r,s}(eta) = int (1+|xi|)^r (1+|xi^{-1} eta|)^s dlambda(xi)
-    (plain Lebesgue), by adaptive domain doubling until stable.
+    (plain Lebesgue), by adaptive domain doubling until two successive
+    values agree to a relative 1e-4.
 
     Raises ValueError in the divergent regime r + s + Q >= 0.
     """
@@ -272,7 +272,7 @@ def I_rs(norm: HomogeneousNorm, r, s, eta, count=25, tol=1e-4,
                          center_spacing=5.0 / count)
         total = (_irs_piece(norm, r, s, eta, radius, count, +1, g)
                  + _irs_piece(norm, r, s, eta, radius, count, -1, g))
-        if prev is not None and abs(total - prev) <= tol * abs(total):
+        if prev is not None and abs(total - prev) <= 1e-4 * abs(total):
             return total
         prev = total
         radius *= 2.0

@@ -180,21 +180,24 @@ def superlevel_measure(F, alpha, window: Window, estimator="grid",
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def weak_l1_constant(F, alpha_list, window: Window, estimator="grid",
-                     calibration=1.0, a_power=0, **kwargs):
-    """sup over alpha of alpha * |{F > alpha} cap window|, with a
-    stability flag from re-measuring on the doubled window."""
-    kw = dict(estimator=estimator, calibration=calibration, a_power=a_power)
-    measured = [superlevel_measure(F, alpha, window, **kw, **kwargs)
+def weak_l1_constant(F, alpha_list, window: Window, calibration=1.0,
+                     resolution=101, a_resolution=None):
+    """sup over alpha of alpha * |{F > alpha} cap window| on the grid
+    estimator, with a stability flag from re-measuring on the doubled
+    window."""
+    kw = dict(resolution=resolution, a_resolution=a_resolution,
+              calibration=calibration)
+    measured = [superlevel_measure(F, alpha, window, **kw)
                 for alpha in alpha_list]
     products = [alpha * m for alpha, (m, _) in zip(alpha_list, measured)]
     bars = [alpha * b for alpha, (_, b) in zip(alpha_list, measured)]
     constant = max(products)
     # twice the resolution on the doubled window keeps the cell size fixed
+    # (a_resolution None follows the doubled first axis)
     wide = Window(window.center, tuple(2 * h for h in window.half_widths),
                   window.a_lo, 2 * window.a_hi)
-    kw.update({k: 2 * v if k in ("resolution", "a_resolution")
-               and np.isscalar(v) else v for k, v in kwargs.items()})
+    kw.update(resolution=2 * np.asarray(resolution),
+              a_resolution=a_resolution and 2 * a_resolution)
     doubled = [alpha * superlevel_measure(F, alpha, wide, **kw)[0]
                for alpha in alpha_list]
     drift = max(abs(d - p) for d, p in zip(doubled, products))

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from nilharmonics import cli
 from nilharmonics.cli import main
 from nilharmonics.io import InputError, emit_table, parse_table
 
@@ -101,6 +102,39 @@ def test_usage_error_is_exit_1(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+_GAUSS = {"kind": "gaussian", "params": {"width": 1.0}}
+_MALFORMED_DISTS = {
+    "radius-0": {"terms": [{"alpha": [0], "density": {
+        "kind": "poly_bump", "params": {"radius": 0}}}]},
+    "width-0": {"terms": [{"alpha": [0], "density": {
+        "kind": "gaussian", "params": {"width": 0}}}]},
+    "no-alpha": {"terms": [{"density": _GAUSS}]},
+    "no-density": {"terms": [{"alpha": [0]}]},
+    "alpha-5": {"terms": [{"alpha": 5, "density": _GAUSS}]},
+    "top-level-list": [{"alpha": [0], "density": _GAUSS}],
+}
+
+
+@pytest.mark.parametrize("case", [*_MALFORMED_DISTS, "a-list", "alpha"])
+def test_malformed_input_is_input_error(tmp_path, dist_file, capsys, case):
+    extend = ["extend", "run", "--spec", "abelian_R1",
+              "--kernel", "classical_abelian", "--gamma", "1",
+              "--resolution", "12", "--out", str(tmp_path / "ext.csv")]
+    if case == "a-list":
+        argv = extend + ["--dist", dist_file, "--a-list", "1,x"]
+    elif case == "alpha":
+        argv = ["calculus", "identities", "--spec", "abelian_R2",
+                "--alpha", "1,a", "--report", str(tmp_path / "r.json")]
+    else:
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(_MALFORMED_DISTS[case]))
+        argv = extend + ["--dist", str(path), "--a-list", "1,0.5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
 # -- dry runs and metadata ---------------------------------------------------
 
 def test_dry_run_prints_plan_writes_nothing(tmp_path, capsys):
@@ -113,6 +147,50 @@ def test_dry_run_prints_plan_writes_nothing(tmp_path, capsys):
     assert plan["inputs"] == {"spec": "heisenberg"}
     assert plan["params"]["triples"] == 1000
     assert list(tmp_path.iterdir()) == []
+
+
+# the README invocation of each subcommand and its exact run plan
+_README_PLANS = [
+    (["group", "check", "--spec", "heisenberg", "--out", "checks.csv"],
+     {"spec": "heisenberg"}, {"triples": 1000}),
+    (["calculus", "identities", "--spec", "heisenberg",
+      "--alpha", "1,0,0;0,1,0;0,0,1", "--report", "identities.json"],
+     {"spec": "heisenberg"},
+     {"alphas": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+    (["quad", "irs", "--spec", "abelian_R1", "--r", "-2", "--s", "-2",
+      "--eta-max", "64", "--out", "irs.csv"],
+     {"spec": "abelian_R1"}, {"r": -2.0, "s": -2.0, "eta_max": 64.0}),
+    (["kernel", "certify", "--spec", "heisenberg", "--family",
+      "model_power", "--gamma", "1", "--out", "cert.json"],
+     {"spec": "heisenberg"}, {"family": "model_power", "gamma": 1.0}),
+    (["extend", "run", "--spec", "abelian_R1", "--kernel",
+      "classical_abelian", "--gamma", "1", "--dist", "dist.json",
+      "--a-list", "1,0.5,0.25", "--out", "ext.csv"],
+     {"spec": "abelian_R1", "dist": "dist.json"},
+     {"kernel": "classical_abelian", "gamma": 1.0, "phi": "poly_bump",
+      "a_list": [1.0, 0.5, 0.25], "method": "direct", "kernel_mass": 1.0,
+      "resolution": 21}),
+    (["weakl1", "run", "--spec", "abelian_R1", "--gamma", "1",
+      "--measure", "nu.json", "--alpha", "0.1", "--i0", "2", "--depth",
+      "6", "--out", "covering.json"],
+     {"spec": "abelian_R1", "measure": "nu.json"},
+     {"gamma": 1.0, "alpha": 0.1, "i0": 2, "depth": 6}),
+    (["covering", "demo", "--out", "demo.json"],
+     {"spec": "abelian_R1"}, {"alpha": 0.1, "i0": 2, "depth": 6}),
+]
+
+
+@pytest.mark.parametrize("argv, inputs, params", _README_PLANS,
+                         ids=[" ".join(p[0][:2]) for p in _README_PLANS])
+def test_dry_run_plan_schema(capsys, argv, inputs, params):
+    assert main(argv + ["--dry-run"]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert plan == {"command": " ".join(argv[:2]), "inputs": inputs,
+                    "params": params, "out": argv[-1],
+                    "format": "json" if argv[-1].endswith(".json")
+                    else "csv", "seed": 0}
+    assert list(plan["inputs"]) == list(inputs)  # flag order
+    assert list(plan["params"]) == list(params)
 
 
 def test_seed_changes_config_hash(tmp_path):
@@ -259,6 +337,19 @@ def test_covering_demo_defaults(tmp_path):
     payload = read_json(out)
     assert payload["authorized"] >= 1
     assert payload["report"]["chain_holds"] is True
+
+
+def test_covering_demo_names_failed_disjointness(tmp_path, monkeypatch):
+    real = cli.verify_covering
+
+    def overlapping(*args, **kwargs):
+        return {**real(*args, **kwargs), "disjoint": False}
+
+    monkeypatch.setattr(cli, "verify_covering", overlapping)
+    out = str(tmp_path / "demo.json")
+    assert main(["covering", "demo", "--depth", "4", "--out", out]) == 2
+    summary = read_json(out + ".summary.json")
+    assert summary["failed_checks"] == ["disjoint-authorized-pieces"]
 
 
 # -- table round trips -------------------------------------------------------

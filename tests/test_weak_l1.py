@@ -255,6 +255,42 @@ def test_weak_constant_line_with_stability():
     assert rep["stable"]
 
 
+def _spy_superlevel(monkeypatch):
+    """Records (window, resolution, a_resolution) of each grid call."""
+    import nilharmonics.weak_l1 as wl
+    calls, real = [], wl.superlevel_measure
+
+    def spy(F, alpha, window, **kw):
+        calls.append((window, np.asarray(kw["resolution"]),
+                      kw["a_resolution"]))
+        return real(F, alpha, window, **kw)
+
+    monkeypatch.setattr(wl, "superlevel_measure", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, kwargs", [
+    (1, {}),  # the default resolution
+    (2, {"resolution": np.array([5, 9]), "a_resolution": 4}),
+])
+def test_weak_constant_doubles_resolution_with_window(monkeypatch, n,
+                                                       kwargs):
+    # the doubled window is re-measured with cells of the original size
+    calls = _spy_superlevel(monkeypatch)
+    F = lambda e, a: np.zeros(len(e))
+    win = Window((0.0,) * n, (1.0, 3.0)[:n], 0.0, 2.0)
+    weak_l1_constant(F, (0.5, 1.0), win, **kwargs)
+    assert len(calls) == 4
+    (w0, res0, ares0), (w1, res1, ares1) = calls[0], calls[-1]
+    assert w1.half_widths == tuple(2 * h for h in w0.half_widths)
+    assert_allclose(np.asarray(w1.half_widths) / res1,
+                    np.asarray(w0.half_widths) / res0)
+    if ares0 is None:  # the height count follows the first axis
+        assert ares1 is None
+    else:
+        assert (w1.a_hi - w1.a_lo) / ares1 == (w0.a_hi - w0.a_lo) / ares0
+
+
 def test_da_over_a_measure_fails_weak_bound():
     # against dlambda da/a the products alpha * measure blow up
     F = lambda e, a: phi_gamma(LNORM, 1.0, e, a) / a
