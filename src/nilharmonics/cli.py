@@ -127,7 +127,6 @@ def _extend_run(cfg, spec):
         grid = Grid([0.0] * spec.n, [radius] * spec.n, [count] * spec.n)
     result = boundary_convergence(
         T, kernel, phi, cfg.params["a_list"], grid, grid,
-        kernel_mass=cfg.params["kernel_mass"],
         method=cfg.params["method"], count=count)
     rows = [{"a": a, "value": v, "limit": lim, "error": err}
             for a, v, lim, err in result["rows"]]
@@ -213,7 +212,6 @@ _COMMANDS = {
         ("--dist", _REQ), ("--phi", {"default": "poly_bump"}),
         ("--a-list", {"type": _csv_floats, **_REQ}),
         ("--method", {"default": "direct"}),
-        ("--kernel-mass", {"type": float, "default": 1.0}),
         ("--resolution", {"type": int, "default": 21}), ("--out", _REQ)]),
     "weakl1 run": (_weakl1_run, False, [
         ("--spec", _REQ), ("--gamma", _FLOAT), ("--measure", _REQ),

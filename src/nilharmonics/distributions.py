@@ -317,16 +317,17 @@ def extension_weighted_norm(T: DistributionRep, kernel: KernelSpec, a, iota,
 
 def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
                          phi: TestFunction, a_list, outer_grid: Grid,
-                         inner_grid: Grid, kernel_mass=1.0, method="direct",
+                         inner_grid: Grid, kernel_mass=None, method="direct",
                          span=4.0, count=31):
     """Rows (a, <omega_{-mu}(T*P_a), phi>, <omega_{-mu}T, phi>, error);
     the limit pairing is evaluated exactly from the representation, the
     extension pairing by outer quadrature.  Reports the fitted slope of
-    log error against log a."""
+    log error against log a.  T * P_a tends to (int P) T: the limit takes
+    kernel.mass unless kernel_mass is given."""
     w_minus = weight_field(kernel.norm, -T.mu)
     wm_phi = w_minus.eval(outer_grid.points) * phi(outer_grid.points)
-    # T * P_a tends to (int P) T; pass the kernel mass when it is not 1
-    limit = kernel_mass * pair_unweighted(T, phi, inner_grid)
+    limit = (kernel.mass if kernel_mass is None else kernel_mass) \
+        * pair_unweighted(T, phi, inner_grid)
     rows = []
     for a in a_list:
         if method == "scaled":

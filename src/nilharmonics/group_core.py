@@ -151,6 +151,9 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data["weights"], list) or data.get(
+                "n", len(data["weights"])) != len(data["weights"]):
+            raise ValueError("weights must be a list of n fraction strings")
         weights = tuple(Fraction(w) for w in data["weights"])
         structure = [((int(s["k"]), tuple(s["alpha"]), tuple(s["beta"])),
                       Fraction(s["c"])) for s in data.get("structure", [])]
@@ -196,58 +199,53 @@ def random_step2(n1, n2, seed, name=None):
 # -- homogeneous norms ------------------------------------------------------
 
 class HomogeneousNorm:
-    """Homogeneous gauge |.| with |delta_a eta| = a |eta|.
+    """Homogeneous gauge |eta| = N(eta)^(1/2M), N one stored polynomial.
 
-    The default 'even-power' variant is (sum_k theta_k^(2M/d_k))^(1/2M) with
+    The default 'even-power' variant has N = sum_k theta_k^(2M/d_k) with
     M cleared so every exponent is an even integer; 'koranyi' is the
-    classical gauge on the Heisenberg group.
+    classical gauge on the Heisenberg group, N = (x^2+y^2)^2 + 16 t^2.
     """
 
     def __init__(self, spec: GroupSpec, variant="even-power"):
         self.spec = spec
-        self.variant = variant
+        n = spec.n
         if variant == "koranyi":
             if tuple(spec.weights) != (1, 1, 2):
                 raise ValueError("koranyi variant requires Heisenberg weights")
             self.M = 2
+            x, y, t = (Polynomial.coordinate(3, k) for k in range(3))
+            self._N = (x * x + y * y) * (x * x + y * y) + 16 * (t * t)
+            self._kappa = 8.0 / math.pi ** 2
         elif variant == "even-power":
             # choose M so that 2M/d_k is an even integer for every k
             self.M = math.lcm(*(d.numerator for d in spec.weights))
             powers = [Fraction(2 * self.M) / d for d in spec.weights]
             assert all(p.denominator == 1 and p.numerator % 2 == 0
                        for p in powers)
-            self.powers = tuple(p.numerator for p in powers)
+            self._N = Polynomial(n, {
+                tuple(p.numerator * int(j == k) for j in range(n)): 1
+                for k, p in enumerate(powers)})
+            vol = 2.0 ** n / math.gamma(1.0 + float(spec.Q / (2 * self.M)))
+            for p in powers:
+                vol *= math.gamma(1.0 + 1.0 / p.numerator)
+            self._kappa = 1.0 / vol
         else:
             raise ValueError(f"unknown norm variant {variant!r}")
         # (|e_k|, d_k) per axis, for box
         self._axes = tuple((float(u), float(d)) for u, d in
-                           zip(self(np.eye(spec.n)), spec.weights))
+                           zip(self(np.eye(n)), spec.weights))
 
     @property
     def n(self):
         return self.spec.n
 
     def gauge_polynomial(self):
-        """The polynomial N with |eta| = N(eta)^(1/2M)."""
-        n = self.spec.n
-        if self.variant == "koranyi":
-            x, y, t = (Polynomial.coordinate(3, k) for k in range(3))
-            return (x * x + y * y) * (x * x + y * y) + 16 * (t * t)
-        poly = Polynomial.zero(n)
-        for k, p in enumerate(self.powers):
-            poly = poly + Polynomial(n, {tuple(int(k == j) * p
-                                               for j in range(n)): 1})
-        return poly
+        """The polynomial N with |eta| = N(eta)^(1/2M), built once and
+        shared: callers must not mutate it."""
+        return self._N
 
     def __call__(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        if self.variant == "koranyi":
-            x, y, t = eta[..., 0], eta[..., 1], eta[..., 2]
-            return ((x * x + y * y) ** 2 + 16 * t * t) ** 0.25
-        acc = np.zeros(eta.shape[:-1])
-        for k, p in enumerate(self.powers):
-            acc = acc + eta[..., k] ** p
-        return acc ** (1.0 / (2 * self.M))
+        return self._N.eval(eta) ** (1.0 / (2 * self.M))
 
     def measured_gamma(self, n_samples=10 ** 5, box=10.0, seed=0):
         """sup |eta xi| / (|eta| + |xi|) over random pairs."""
@@ -271,13 +269,7 @@ class HomogeneousNorm:
         The Koranyi ball has volume pi^2/8.  The even-power ball
         {sum theta_k^{p_k} <= 1} has Dirichlet's volume
         2^n prod Gamma(1 + 1/p_k) / Gamma(1 + Q/2M)."""
-        if self.variant == "koranyi":
-            return 8.0 / math.pi ** 2
-        vol = 2.0 ** self.n / math.gamma(
-            1.0 + float(self.spec.Q / (2 * self.M)))
-        for p in self.powers:
-            vol *= math.gamma(1.0 + 1.0 / p)
-        return 1.0 / vol
+        return self._kappa
 
     def ball_volume(self, r, calibrated=True):
         """|B(0, r)| = r^Q under the calibrated Haar normalization."""

@@ -77,8 +77,11 @@ def density_from_json(n, data):
     scale = params.get("scale", 1.0)
     if kind == "gaussian":
         return SmoothField(base, gaussian_profile(scale, size))
+    power = params.get("power", 6)
+    if not power > 0:  # (1 - u)^power is not integrable at u = 1
+        raise InputError("poly_bump power must be positive")
     return SmoothField(base * (1.0 / float(size) ** 2),
-                       poly_bump_profile(scale, params.get("power", 6)))
+                       poly_bump_profile(scale, power))
 
 
 def load_distribution(path, spec, norm, Gamma):

@@ -3,13 +3,13 @@
 A kernel here is a smooth positive function P comparable to the weight
 omega_{-Q-Gamma}, whose invariant derivatives gain one weight order per
 derivative weight and whose dilates P_a = a^{-Q} P(delta_{1/a} .) satisfy
-the matching scale-uniform bounds.  Two built-in families:
+the matching scale-uniform bounds.  Both built-in families are
+c (1 + N(eta))^{-(Q+Gamma)/(2M)} over the gauge polynomial N, with mass c m
+in closed form:
 
-* ``classical_abelian`` on R^n:  c_n (1+|x|^2)^{-(n+1)/2}, Gamma = 1,
-  normalized to unit mass; on R^1 this is the upper-half-plane Poisson
-  kernel and P_a is exactly harmonic in (x, a).
-* ``model_power`` on any homogeneous group:  (1+N(eta))^{-(Q+Gamma)/(2M)}
-  with N the even-power gauge polynomial, normalized to P(0) = 1.
+* ``classical_abelian``: abelian, unit weights, Gamma = 1, c = 1/m;
+  on R^1 the upper-half-plane Poisson kernel, P_a harmonic in (x, a).
+* ``model_power``: any homogeneous group and Gamma, c = 1 so P(0) = 1.
 
 Every kernel quantity is an exact SmoothField: the dilates P_a, the scale
 derivatives (a d/da)^k P_a and the comparison weights omega_mu, so the
@@ -21,7 +21,7 @@ when stable under doubling the sweep domain.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gamma as gamma_fn, pi
+from math import gamma as gamma_fn
 
 import numpy as np
 
@@ -29,12 +29,6 @@ from .calculus import OperatorWord, build_conversion, multi_indices_upto
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .polynomials import Polynomial, Profile, SmoothField
 import sympy
-
-
-def _abelian_constant(n):
-    """c_n with unit mass: integral of (1+|x|^2)^{-(n+1)/2} over R^n is
-    pi^{(n+1)/2} / Gamma((n+1)/2)."""
-    return gamma_fn((n + 1) / 2) / pi ** ((n + 1) / 2)
 
 
 class KernelSpec:
@@ -47,34 +41,27 @@ class KernelSpec:
             raise ValueError("Gamma must be positive")
         self.spec, self.norm, self.family = spec, norm, family
         self.Gamma = float(Gamma)
-        n = spec.n
         if family == "classical_abelian":
             if any(d != 1 for d in spec.weights) or spec.structure:
                 raise ValueError("classical_abelian requires an abelian "
                                  "group with unit weights")
             if Gamma != 1.0:
                 raise ValueError("classical_abelian has Gamma = 1")
-            self.c = _abelian_constant(n)
-            base = Polynomial.zero(n)
-            for k in range(n):
-                base = base + Polynomial(
-                    n, {tuple(2 * int(j == k) for j in range(n)): 1})
-            u = sympy.Symbol("u")
-            prof = Profile(self.c * (1 + u) ** sympy.Rational(-(n + 1), 2),
-                           name="classical_abelian")
-            self.field = SmoothField(base, prof)
-        elif family == "model_power":
-            self.c = 1.0
-            N = norm.gauge_polynomial()
-            p = Fraction(self.Gamma + float(spec.Q)).limit_denominator(10 ** 6)
-            expo = -p / (2 * norm.M)
-            u = sympy.Symbol("u")
-            prof = Profile((1 + u) ** sympy.Rational(expo.numerator,
-                                                     expo.denominator),
-                           name="model_power")
-            self.field = SmoothField(N, prof)
-        else:
+        elif family != "model_power":
             raise ValueError(f"unknown kernel family {family!r}")
+        # polar coordinates (Leb B(0, r) = r^Q / kappa), s = |eta|^{2M}:
+        # m = (q / kappa) B(q, g) with q = Q/2M and g = Gamma/2M
+        q, g = float(spec.Q) / (2 * norm.M), self.Gamma / (2 * norm.M)
+        m = q * gamma_fn(q) * gamma_fn(g) / gamma_fn(q + g) \
+            / norm.calibration()
+        self.c = 1.0 / m if family == "classical_abelian" else 1.0
+        self.mass = self.c * m
+        expo = -Fraction(self.Gamma + float(spec.Q)).limit_denominator(
+            10 ** 6) / (2 * norm.M)
+        prof = (1 + sympy.Symbol("u")) ** sympy.Rational(expo.numerator,
+                                                         expo.denominator)
+        self.field = SmoothField(norm.gauge_polynomial(), Profile(
+            prof if self.c == 1.0 else self.c * prof, name=family))
 
     def __call__(self, eta):
         return self.field.eval(eta)
@@ -147,11 +134,12 @@ def certify_RGamma(kernel: KernelSpec, radius=100.0, n_dirs=24, n_radii=40,
     via conversion tables, reversed right words), and the scale-derivative
     bounds, for words of weight d(alpha) <= 2 and scale orders k <= 2 at
     a = 1/4, 1, 4; each ratio is re-measured on the doubled sweep domain and
-    the certificate passes only if no ratio grows by more than 5%.
+    the certificate passes only if no ratio grows by more than 5%.  The
+    report also carries the kernel's closed-form mass.
     """
     spec, norm = kernel.spec, kernel.norm
     report = {"family": kernel.family, "Gamma": kernel.Gamma,
-              "estimates": {}, "passed": True}
+              "mass": kernel.mass, "estimates": {}, "passed": True}
 
     def record(name, measure):
         r1 = measure(radius)

@@ -111,24 +111,23 @@ class Polynomial:
         out = np.zeros(theta.shape[:-1])
         if not self.coeffs:
             return out
-        # per-variable power tables, shared across monomials (much cheaper
-        # than generic ** on large arrays)
-        maxp = [max(col) for col in zip(*self.coeffs)]
-        pows = []
-        for k, m in enumerate(maxp):
-            col = [None] * (m + 1)
-            if m:
-                x = theta[..., k]
-                col[1] = x
-                for p in range(2, m + 1):
-                    col[p] = col[p - 1] * x
-            pows.append(col)
+        # per-variable powers by repeated products (much cheaper than
+        # generic ** on large arrays), shared across monomials; only the
+        # powers some monomial uses are kept alive
+        pows = {}
+        for k, used in enumerate(map(set, zip(*self.coeffs))):
+            x = theta[..., k]
+            for p in range(1, max(used) + 1):
+                power = x if p == 1 else power * x
+                if p in used:
+                    pows[k, p] = power
         for e, c in self.coeffs.items():
             term = None
             for k, p in enumerate(e):
                 if p:
-                    term = pows[k][p] if term is None else term * pows[k][p]
-            out += float(c) if term is None else float(c) * term
+                    term = pows[k, p] if term is None else term * pows[k, p]
+            out += float(c) if term is None else \
+                term if c == 1 else float(c) * term
         return out
 
     def __call__(self, theta):

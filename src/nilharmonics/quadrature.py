@@ -2,9 +2,10 @@
 two-weight integrals I_{r,s}.
 
 Haar measure is Lebesgue measure in exponential coordinates.  Integrals are
-tensor-product composite quadratures (Simpson by default, midpoint for rough
-integrands) over a coordinate box; an optional sinh grading concentrates
-nodes near the box center for peaked power-law integrands.  The calibrated
+tensor-product composite quadratures (Simpson by default; the rule named
+"midpoint", for rough integrands, is the closed trapezoid rule) over a
+coordinate box; an optional sinh grading concentrates nodes near the box
+center for peaked power-law integrands.  The calibrated
 normalization multiplies Lebesgue measure by the constant making the unit
 ball of a chosen gauge have measure one; plain Lebesgue is the default.
 """
@@ -34,8 +35,8 @@ def _axis_nodes(center, half_width, count, rule, grading):
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         w *= du / 3.0
     elif rule == "midpoint":
-        # trapezoid on the closed box; midpoint-like robustness for rough
-        # integrands without needing an odd count
+        # despite its name, the closed trapezoid rule: end nodes at half
+        # weight, robust for rough integrands and any count
         w = np.full(count, du)
         w[0] = w[-1] = du / 2.0
     else:
@@ -58,7 +59,7 @@ class Grid:
     centers, half_widths : array_like, shape (n,)
     counts : int or array_like
         Nodes per axis (Simpson bumps even counts to odd).
-    rule : {'simpson', 'midpoint'}
+    rule : {'simpson', 'midpoint'} ('midpoint' is the closed trapezoid)
     grading : None, float, or array_like
         sinh grading strength per axis; None for uniform spacing.
     """

@@ -82,13 +82,6 @@ def heis_triple(alpha):
     return T, ker, phi
 
 
-def heis_kernel_mass(ker):
-    return haar_integrate(
-        lambda p: ker.field.eval(p),
-        Grid([0.0] * 3, [200.0, 200.0, 200.0 ** 2], [61] * 3,
-             grading=[9.0, 9.0, 12.0]))
-
-
 def test_acceptance_01_group_axioms():
     t0 = time.time()
     checks = {}
@@ -352,15 +345,15 @@ def test_acceptance_09_boundary_convergence():
         checks[f"line_{alpha}"] = strict and errs[-1] < 0.10 * errs[0]
         if sum(alpha) <= 1:  # smooth data: error is O(a), slope near 1
             checks[f"line_{alpha}_slope"] = 0.8 <= out["slope"] <= 1.2
+    # the limit carries the kernel's closed-form mass, ker.mass
     ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
-    mass = heis_kernel_mass(ker)
     for alpha in HEIS_ALPHAS:
         T, _, phi = heis_triple(alpha)
         out = boundary_convergence(
             T, ker, phi, a_list,
             Grid([0.0] * 3, [2.1] * 3, [17] * 3),
             Grid([0.3, 0.2, -0.1], [1.3] * 3, [21] * 3),
-            kernel_mass=mass, method="scaled", span=4.0, count=29)
+            method="scaled", span=4.0, count=29)
         errs = [r[3] for r in out["rows"]]
         strict = all(b < a for a, b in zip(errs, errs[1:]))
         checks[f"heis_{alpha}"] = strict and errs[-1] < 0.10 * errs[0]

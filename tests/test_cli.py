@@ -97,6 +97,21 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+@pytest.mark.parametrize("spec", [
+    # a string is not a list of weights, though it iterates like one
+    {"name": "g", "n": 2, "weights": "12", "structure": []},
+    {"name": "g", "n": 3, "weights": ["1", "1"], "structure": []},
+], ids=["string-weights", "n-mismatch"])
+def test_malformed_group_is_input_error(tmp_path, capsys, spec):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(spec))
+    status = main(["group", "check", "--spec", str(path), "--out",
+                   str(tmp_path / "x.csv")])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
 def test_usage_error_is_exit_1(capsys):
     assert main(["group", "check"]) == 1  # --spec is required
     assert "input error" in capsys.readouterr().err
@@ -111,6 +126,11 @@ _MALFORMED_DISTS = {
     "no-alpha": {"terms": [{"density": _GAUSS}]},
     "no-density": {"terms": [{"alpha": [0]}]},
     "alpha-5": {"terms": [{"alpha": 5, "density": _GAUSS}]},
+    # (1 - u)^power is not integrable at the support edge for power <= 0
+    "power--1": {"terms": [{"alpha": [0], "density": {
+        "kind": "poly_bump", "params": {"power": -1}}}]},
+    "power-0": {"terms": [{"alpha": [0], "density": {
+        "kind": "poly_bump", "params": {"power": 0}}}]},
     "top-level-list": [{"alpha": [0], "density": _GAUSS}],
 }
 
@@ -168,8 +188,7 @@ _README_PLANS = [
       "--a-list", "1,0.5,0.25", "--out", "ext.csv"],
      {"spec": "abelian_R1", "dist": "dist.json"},
      {"kernel": "classical_abelian", "gamma": 1.0, "phi": "poly_bump",
-      "a_list": [1.0, 0.5, 0.25], "method": "direct", "kernel_mass": 1.0,
-      "resolution": 21}),
+      "a_list": [1.0, 0.5, 0.25], "method": "direct", "resolution": 21}),
     (["weakl1", "run", "--spec", "abelian_R1", "--gamma", "1",
       "--measure", "nu.json", "--alpha", "0.1", "--i0", "2", "--depth",
       "6", "--out", "covering.json"],
@@ -276,21 +295,46 @@ def test_extend_run_converges(tmp_path, dist_file):
     assert all(np.isfinite(r["value"]) for r in rows)
 
 
-def test_extend_run_wrong_kernel_mass_fails(tmp_path, dist_file):
+def test_extend_run_wrong_kernel_mass_fails(tmp_path, dist_file,
+                                           monkeypatch):
     # the limit taken with half the kernel's mass is never approached, so
     # the error grows as a shrinks and the convergence verdict fails
+    class HalfMass(cli.KernelSpec):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.mass /= 2
+
+    monkeypatch.setattr(cli, "KernelSpec", HalfMass)
     out = str(tmp_path / "ext.csv")
     status = main(["extend", "run", "--spec", "abelian_R1",
                    "--kernel", "classical_abelian", "--gamma", "1",
                    "--dist", dist_file, "--a-list", "1,0.5,0.25",
-                   "--resolution", "12", "--kernel-mass", "0.5",
-                   "--out", out])
+                   "--resolution", "12", "--out", out])
     assert status == 2
     errs = [r["error"] for r in parse_table(out)]
     assert errs[0] < errs[1] < errs[2]
     summary = read_json(out + ".summary.json")
     assert summary["failed_checks"] == ["boundary-convergence"]
     assert summary["summary"]["monotone"] is False
+
+
+def test_extend_run_heisenberg_model_power_converges(tmp_path):
+    # the model kernel's mass is not 1; the limit uses its closed form
+    dist = tmp_path / "heis.json"
+    dist.write_text(json.dumps({
+        "mu": 0.0,
+        "terms": [{"alpha": [0, 0, 0],
+                   "density": {"kind": "gaussian",
+                               "params": {"width": 1.0}}}]}))
+    out = str(tmp_path / "ext.csv")
+    status = main(["extend", "run", "--spec", "heisenberg",
+                   "--kernel", "model_power", "--gamma", "1",
+                   "--dist", str(dist), "--method", "scaled",
+                   "--resolution", "15", "--a-list", "1,0.5,0.25",
+                   "--out", out])
+    assert status == 0
+    errs = [r["error"] for r in parse_table(out)]
+    assert errs[0] > errs[1] > errs[2]
 
 
 def test_weakl1_run_and_determinism(tmp_path, measure_file, monkeypatch):

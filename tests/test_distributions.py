@@ -437,16 +437,11 @@ def test_scaled_chart_matches_direct(mu):
 def test_scaled_chart_pointwise_limit():
     # u_a -> mass * omega_mu * g pointwise as a -> 0, down to a = 1/64
     from nilharmonics.distributions import poisson_extend_scaled
-    from nilharmonics.quadrature import haar_integrate
     g = heis_bump(1.2, (0.3, 0.2, -0.1))
     ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
     S = DistributionRep(HEIS, HNORM, 1.0, [((0, 0, 0), g)])
-    mass = haar_integrate(
-        lambda p: ker.field.eval(p),
-        Grid([0.0] * 3, [200.0, 200.0, 200.0 ** 2], [61] * 3,
-             grading=[9.0, 9.0, 12.0]))
     etas = np.array([[0.1, 0.0, 0.0], [0.5, -0.4, 0.3]])
-    target = mass * weight_field(HNORM, 5.0).eval(etas) * g.eval(etas)
+    target = ker.mass * weight_field(HNORM, 5.0).eval(etas) * g.eval(etas)
     errs = [np.max(np.abs(poisson_extend_scaled(S, ker, a, etas,
                                                 span=4.0, count=31)
                           - target))
@@ -490,14 +485,9 @@ def test_boundary_convergence_slope_line():
 
 
 def test_boundary_convergence_heisenberg_monotone():
-    # non-unit-mass model kernel: the limit is mass * <omega_{-mu} T, phi>;
-    # the scaled chart keeps the quadrature resolved at every a
-    from nilharmonics.quadrature import haar_integrate
+    # non-unit-mass model kernel: the limit is ker.mass * <omega_{-mu} T,
+    # phi>; the scaled chart keeps the quadrature resolved at every a
     ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
-    mass = haar_integrate(
-        lambda p: ker.field.eval(p),
-        Grid([0.0] * 3, [200.0, 200.0, 200.0 ** 2], [61] * 3,
-             grading=[9.0, 9.0, 12.0]))
     T = DistributionRep(HEIS, HNORM, 1.0,
                         [((1, 0, 0), heis_bump(1.2, (0.3, 0.2, -0.1)))])
     phi = TestFunction(HEIS, heis_bump(2.0), "schwartz-like")
@@ -505,7 +495,7 @@ def test_boundary_convergence_heisenberg_monotone():
         T, ker, phi, [1.0, 1 / 2, 1 / 4, 1 / 8],
         Grid([0.0] * 3, [2.1] * 3, [11] * 3),
         Grid([0.3, 0.2, -0.1], [1.3] * 3, [21] * 3),
-        kernel_mass=mass, method="scaled", span=4.0, count=29)
+        method="scaled", span=4.0, count=29)
     errs = [r[3] for r in out["rows"]]
     assert out["monotone"]
     assert errs[-1] < 0.25 * errs[0]

@@ -136,12 +136,30 @@ class TestNorms:
         assert 1.0 <= g < 3.0
 
     def test_gauge_polynomial_consistent(self):
-        for variant in ["even-power", "koranyi"]:
-            N = HomogeneousNorm(heisenberg(), variant)
-            rng = np.random.default_rng(4)
-            p = rng.uniform(-2, 2, (6, 3))
-            assert_allclose(N.gauge_polynomial().eval(p) ** (1 / (2 * N.M)),
-                            N(p), rtol=1e-12)
+        # the gauge against its formula written out, on each kind of group
+        cases = [
+            (abelian(1), "even-power", lambda x: np.abs(x[..., 0])),
+            (heisenberg(), "even-power",
+             lambda x: (x[..., 0] ** 4 + x[..., 1] ** 4 + x[..., 2] ** 2)
+             ** 0.25),
+            (heisenberg(), "koranyi",
+             lambda x: ((x[..., 0] ** 2 + x[..., 1] ** 2) ** 2
+                        + 16 * x[..., 2] ** 2) ** 0.25),
+            # M = 3, powers (6, 6, 2)
+            (GroupSpec("weights113", (1, 1, 3)), "even-power",
+             lambda x: (x[..., 0] ** 6 + x[..., 1] ** 6 + x[..., 2] ** 2)
+             ** (1 / 6)),
+            # weights (1, 1, 2, 2): M = 2, powers (4, 4, 2, 2)
+            (random_step2(2, 2, seed=3), "even-power",
+             lambda x: (x[..., 0] ** 4 + x[..., 1] ** 4 + x[..., 2] ** 2
+                        + x[..., 3] ** 2) ** 0.25),
+        ]
+        for G, variant, formula in cases:
+            N = HomogeneousNorm(G, variant)
+            p = np.random.default_rng(4).uniform(-2, 2, (50, G.n))
+            assert_allclose(N(p), formula(p), rtol=1e-14)
+            # one stored polynomial, not a fresh one per call
+            assert N.gauge_polynomial() is N.gauge_polynomial()
 
     def test_ball_volume_abelian(self):
         # [DERIVED] Leb(B(0,1)) = 2 on (R, |x|), so kappa = 1/2

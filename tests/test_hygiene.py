@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, no
 module reaches into another object's private attributes, and each
-numerical idiom (the tensor grid, the finite-difference stencil) is called
-from one place only."""
+numerical idiom (the tensor grid, the finite-difference stencil, the
+kernel field) is called from one place only."""
 
 import ast
 from pathlib import Path
@@ -115,3 +115,10 @@ def test_distributions_has_no_group_law_loop():
     # the extensions reach the group law only through quadrature.convolve
     assert {caller for caller in callers("multiply")
             if caller[0] == "distributions.py"} == set()
+
+
+def test_kernels_build_one_field():
+    # both kernel families are one formula over the gauge polynomial
+    source = (SRC / "kernels.py").read_text(encoding="utf-8")
+    assert [scope for _, scope in calls_of(source, "SmoothField")] \
+        == ["__init__"]

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.integrate as si
 import sympy
 from numpy.testing import assert_allclose
 
@@ -59,6 +62,54 @@ class TestEval:
             KernelSpec(G, HomogeneousNorm(G), "classical_abelian")
         with pytest.raises(ValueError):
             KernelSpec(G, HomogeneousNorm(G), "model_power", Gamma=-1.0)
+
+
+class TestMass:
+    """The closed-form mass against scipy integrals of the kernel, reduced
+    by hand to one or two dimensions."""
+
+    def test_model_power_r1(self):
+        # (1 + x^2)^{-1} on the line
+        G = abelian(1)
+        P = KernelSpec(G, HomogeneousNorm(G), "model_power", Gamma=1.0)
+        want, _ = si.quad(lambda x: P(np.array([x])), -np.inf, np.inf,
+                          epsabs=0.0, epsrel=1e-13)
+        assert_allclose(want, math.pi, rtol=1e-12)
+        assert_allclose(P.mass, math.pi, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_classical_unit_mass(self, n):
+        # radial integral over the sphere of area 2 pi^{n/2} / Gamma(n/2)
+        P = classical(n)
+        e1 = np.eye(n)[0]
+        radial, _ = si.quad(lambda r: r ** (n - 1) * P(r * e1), 0.0,
+                            np.inf, epsabs=0.0, epsrel=1e-13)
+        area = 2.0 * math.pi ** (n / 2) / math.gamma(n / 2)
+        assert_allclose(area * radial, 1.0, rtol=1e-10)
+        assert_allclose(P.mass, 1.0, rtol=1e-12)
+
+    def test_heisenberg_even_power(self):
+        # integrating out t: int (A + t^2)^{-5/4} dt = B(1/2, 3/4) A^{-3/4}
+        # with A = 1 + x^4 + y^4; four equal quadrants remain
+        P = heis_kernel()
+        b = math.gamma(0.5) * math.gamma(0.75) / math.gamma(1.25)
+        quadrant, _ = si.dblquad(lambda y, x: (1 + x ** 4 + y ** 4) ** -0.75,
+                                 0.0, np.inf, 0.0, np.inf, epsabs=0.0,
+                                 epsrel=1e-13)
+        assert_allclose(4.0 * b * quadrant, P.mass, rtol=1e-10)
+        assert_allclose(P.mass, 23.29898954166744, rtol=1e-12)
+
+    def test_koranyi(self):
+        # int (A + 16 t^2)^{-5/4} dt = B(1/2, 3/4) A^{-3/4} / 4 with
+        # A = 1 + rho^4, then polar coordinates in (x, y)
+        G = heisenberg()
+        P = KernelSpec(G, HomogeneousNorm(G, "koranyi"), "model_power")
+        b = math.gamma(0.5) * math.gamma(0.75) / math.gamma(1.25)
+        radial, _ = si.quad(lambda r: r * (1 + r ** 4) ** -0.75, 0.0,
+                            np.inf, epsabs=0.0, epsrel=1e-13)
+        assert_allclose(2.0 * math.pi * b / 4.0 * radial, math.pi ** 2 / 2,
+                        rtol=1e-10)
+        assert_allclose(P.mass, math.pi ** 2 / 2, rtol=1e-12)
 
 
 class TestDilate:

@@ -1,5 +1,8 @@
-"""SmoothField evaluation: constant term polynomials are applied as
-floats, and uncapped profiles broadcast a constant derivative."""
+"""Polynomial and SmoothField evaluation: powers are chains of products
+in a fixed order, constant term polynomials are applied as floats, and
+uncapped profiles broadcast a constant derivative."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,3 +58,16 @@ def test_uncapped_eval_deriv_is_a_fresh_array_of_u(expr, k):
     assert_array_equal(got, want)
     got += 1.0
     assert_array_equal(u, kept)
+
+
+def test_poly_eval_is_the_product_of_repeated_powers():
+    # x^4 + 2.5 x^2 y + y^3 + 1: each power is a chain of products, a
+    # coefficient 1 adds the power itself, and the terms add in order
+    x, y = (Polynomial.coordinate(2, k) for k in range(2))
+    poly = x * x * x * x + Fraction(5, 2) * (x * x * y) + y * y * y + 1
+    theta = np.random.default_rng(5).uniform(-3.0, 3.0, (7, 2))
+    a, b = theta[..., 0], theta[..., 1]
+    want = np.zeros(7)
+    for term in (((a * a) * a) * a, 2.5 * ((a * a) * b), (b * b) * b, 1.0):
+        want += term
+    assert_array_equal(poly.eval(theta), want)
