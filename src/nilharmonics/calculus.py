@@ -127,14 +127,6 @@ class OperatorWord:
         self.fields = [build_field(spec, side, j)
                        for j in order for _ in range(alpha[j])]
 
-    @property
-    def length(self):
-        return sum(self.alpha)
-
-    @property
-    def weight(self):
-        return self.spec.mdeg(self.alpha)
-
     def apply_symbolic(self, f):
         for field in reversed(self.fields):
             f = field.apply_symbolic(f)

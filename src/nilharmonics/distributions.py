@@ -35,8 +35,7 @@ def flat_top_profile():
     v = u - 1
     expr = sympy.Piecewise(
         (1, u <= 1),
-        (1 - (10 * v ** 3 - 15 * v ** 4 + 6 * v ** 5), u < 2),
-        (0, True))
+        (1 - (10 * v ** 3 - 15 * v ** 4 + 6 * v ** 5), u < 2))
     return Profile(expr, support_cap=2.0, name="flat_top")
 
 

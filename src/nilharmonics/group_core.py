@@ -163,8 +163,8 @@ class GroupSpec:
 
 # -- builders ---------------------------------------------------------------
 
-def abelian(n, name=None):
-    return GroupSpec(name=name or f"abelian_R{n}", weights=(Fraction(1),) * n)
+def abelian(n):
+    return GroupSpec(name=f"abelian_R{n}", weights=(Fraction(1),) * n)
 
 
 def heisenberg():
@@ -175,7 +175,7 @@ def heisenberg():
     return GroupSpec(name="heisenberg", weights=(1, 1, 2), structure=structure)
 
 
-def random_step2(n1, n2, seed, name=None):
+def random_step2(n1, n2, seed):
     """Random step-2 group: n1 weight-1 coordinates, n2 weight-2 coordinates,
     antisymmetric rational structure constants in [-1, 1]."""
     rng = np.random.default_rng(seed)
@@ -192,7 +192,7 @@ def random_step2(n1, n2, seed, name=None):
                 ej = tuple(1 if m == j else 0 for m in range(n))
                 structure.append(((k, ei, ej), c / 2))
                 structure.append(((k, ej, ei), -c / 2))
-    return GroupSpec(name=name or f"step2_{n1}_{n2}_seed{seed}",
+    return GroupSpec(name=f"step2_{n1}_{n2}_seed{seed}",
                      weights=weights, structure=structure)
 
 
@@ -247,11 +247,11 @@ class HomogeneousNorm:
     def __call__(self, eta):
         return self._N.eval(eta) ** (1.0 / (2 * self.M))
 
-    def measured_gamma(self, n_samples=10 ** 5, box=10.0, seed=0):
-        """sup |eta xi| / (|eta| + |xi|) over random pairs."""
+    def measured_gamma(self, n_samples=10 ** 5, seed=0):
+        """sup |eta xi| / (|eta| + |xi|) over random pairs in [-10, 10]^n."""
         rng = np.random.default_rng(seed)
-        eta = rng.uniform(-box, box, size=(n_samples, self.n))
-        xi = rng.uniform(-box, box, size=(n_samples, self.n))
+        eta = rng.uniform(-10.0, 10.0, size=(n_samples, self.n))
+        xi = rng.uniform(-10.0, 10.0, size=(n_samples, self.n))
         num = self(self.spec.multiply(eta, xi))
         den = self(eta) + self(xi)
         return float(np.max(num / den))

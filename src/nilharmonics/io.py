@@ -193,4 +193,5 @@ def write_json(obj, path):
 def metadata(seed, config):
     canon = json.dumps(jsonable(config), sort_keys=True)
     return {"version": __version__, "seed": int(seed),
-            "config-hash": hashlib.sha256(canon.encode()).hexdigest()}
+            "config-hash": hashlib.sha256(canon.encode()).hexdigest(),
+            "null": "non-finite number"}

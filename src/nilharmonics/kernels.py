@@ -28,6 +28,7 @@ import numpy as np
 from .calculus import OperatorWord, build_conversion, multi_indices_upto
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .polynomials import Polynomial, Profile, SmoothField
+from .quadrature import approximate_identity
 import sympy
 
 
@@ -74,11 +75,7 @@ class KernelSpec:
 
 def dilate_kernel(kernel: KernelSpec, a, eta):
     """P_a(eta) = a^{-Q} P(delta_{1/a} eta): mass-preserving dilation."""
-    if a <= 0:
-        raise ValueError("dilation parameter must be positive")
-    spec = kernel.spec
-    eta = np.asarray(eta, dtype=float)
-    return float(a) ** -float(spec.Q) * kernel(spec.dilate(1.0 / a, eta))
+    return approximate_identity(kernel.spec, kernel, a)(eta)
 
 
 def dilated_field(kernel: KernelSpec, a):

@@ -168,11 +168,12 @@ class Polynomial:
 
 
 class Profile:
-    """Smooth scalar profile g(u) with exact derivatives via sympy.
+    """Scalar profile g(u) with exact derivatives via sympy.
 
-    Derivative callables are lambdified once and cached.  ``support_cap``
-    limits evaluation to u < support_cap (values beyond evaluate to 0),
-    which is how compactly supported bump profiles avoid overflow.
+    A profile may be piecewise in u: each branch is evaluated only where
+    its condition is the first to hold.  ``support_cap=c`` is shorthand
+    for the branches (g, u < c), (0, True), which is how compactly
+    supported bump profiles avoid overflow.
     """
 
     def __init__(self, expr, support_cap=None, name="profile"):
@@ -181,34 +182,48 @@ class Profile:
             expr = expr(u)
         self.u = u
         self.expr = sympy.sympify(expr)
+        if support_cap is not None:
+            self.expr = sympy.piecewise_fold(
+                sympy.Piecewise((self.expr, u < support_cap), (0, True)))
         self.support_cap = support_cap
         self.name = name
         self._derivs = {}
 
     def deriv_fn(self, k):
+        """The k-th derivative as a callable: a fresh float array of u's
+        shape, 0 on points left to trailing zero branches."""
         if k not in self._derivs:
-            d = sympy.diff(self.expr, self.u, k)
-            self._derivs[k] = sympy.lambdify(self.u, d, modules="numpy")
+            pieces = [(sympy.diff(val, self.u, k), cond) for val, cond in (
+                self.expr.args if isinstance(self.expr, sympy.Piecewise)
+                else [(self.expr, sympy.true)])]
+            while pieces and pieces[-1][0] == 0:
+                pieces.pop()
+            whole = len(pieces) == 1 and pieces[0][1] is sympy.true
+            branches = [(None if val == 0 else
+                         sympy.lambdify(self.u, val, modules="numpy"),
+                         sympy.lambdify(self.u, cond, modules="numpy"))
+                        for val, cond in pieces]
+
+            def evaluate(u):
+                u = np.asarray(u, dtype=float)
+                if whole:
+                    vals = np.asarray(branches[0][0](u), dtype=float)
+                    return vals if vals.shape == u.shape and vals is not u \
+                        else np.broadcast_to(vals, u.shape).copy()
+                out, rest = np.zeros(u.shape), None
+                for i, (val, cond) in enumerate(branches):
+                    m = cond(u) if rest is None else rest & cond(u)
+                    if val is not None:
+                        out[m] = val(u[m])
+                    if i + 1 < len(branches):
+                        rest = ~m if rest is None else rest & ~m
+                return out
+
+            self._derivs[k] = evaluate
         return self._derivs[k]
 
     def eval_deriv(self, k, u):
-        u = np.asarray(u, dtype=float)
-        fn = self.deriv_fn(k)
-        # piecewise profiles lambdify to np.select, which evaluates every
-        # branch before masking; silence spurious warnings from the
-        # discarded branches
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.support_cap is None:  # a fresh array of u's shape
-                vals = np.asarray(fn(u), dtype=float)
-                return vals if vals.shape == u.shape and vals is not u \
-                    else np.broadcast_to(vals, u.shape).copy()
-            out = np.zeros_like(u)
-            eps = 1e-12
-            mask = u < self.support_cap - eps
-            if np.any(mask):
-                vals = fn(u[mask])
-                out[mask] = np.asarray(vals, dtype=float)
-        return out
+        return self.deriv_fn(k)(u)
 
 
 def gaussian_profile(scale=1.0, width=1.0):

@@ -194,12 +194,7 @@ def polar_integrate(f, norm: HomogeneousNorm, r_max, n_r=201,
     if sphere is None:
         sphere = SphereQuadrature(norm, resolution=resolution)
     spec = norm.spec
-    if n_r % 2 == 0:
-        n_r += 1
-    r = np.linspace(0.0, float(r_max), n_r)
-    wr = np.ones(n_r)
-    wr[1:-1:2], wr[2:-1:2] = 4.0, 2.0
-    wr *= (r[1] - r[0]) / 3.0
+    r, wr = _axis_nodes(r_max / 2, r_max / 2, n_r, "simpson", None)
     scale = np.stack([r[:, None] ** float(d) for d in spec.weights], axis=-1)
     pts = sphere.nodes[None, :, :] * scale
     vals = _evaluate(f, pts)

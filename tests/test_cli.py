@@ -55,7 +55,8 @@ def test_group_check_pass(tmp_path):
     assert summary["failed_checks"] == []
     assert summary["artifacts"] == [out]
     meta = summary["metadata"]
-    assert set(meta) == {"version", "seed", "config-hash"}
+    assert set(meta) == {"version", "seed", "config-hash", "null"}
+    assert meta["null"] == "non-finite number"
     assert len(meta["config-hash"]) == 64
 
 

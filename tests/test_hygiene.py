@@ -122,3 +122,10 @@ def test_kernels_build_one_field():
     source = (SRC / "kernels.py").read_text(encoding="utf-8")
     assert [scope for _, scope in calls_of(source, "SmoothField")] \
         == ["__init__"]
+
+
+def test_profiles_are_lambdified_in_one_place():
+    # Profile.deriv_fn evaluates piecewise profiles branch by branch, so no
+    # discarded branch has warnings to hide
+    assert callers("lambdify") == {("polynomials.py", "deriv_fn")}
+    assert callers("errstate") == set()

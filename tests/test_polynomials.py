@@ -1,6 +1,7 @@
 """Polynomial and SmoothField evaluation: powers are chains of products
-in a fixed order, constant term polynomials are applied as floats, and
-uncapped profiles broadcast a constant derivative."""
+in a fixed order, constant term polynomials are applied as floats,
+uncapped profiles broadcast a constant derivative, and piecewise profiles
+run each branch only where its condition is the first to hold."""
 
 from fractions import Fraction
 
@@ -8,9 +9,15 @@ import numpy as np
 import pytest
 import sympy
 from numpy.testing import assert_array_equal
+from sympy.utilities.lambdify import implemented_function
 
+from nilharmonics.distributions import flat_top_profile
+from nilharmonics.group_core import (
+    HomogeneousNorm, abelian, heisenberg, weight_field,
+)
 from nilharmonics.polynomials import (
-    Polynomial, Profile, SmoothField, gaussian_profile,
+    Polynomial, Profile, SmoothField, bump_profile, gaussian_profile,
+    poly_bump_profile,
 )
 
 N3 = 3
@@ -71,3 +78,64 @@ def test_poly_eval_is_the_product_of_repeated_powers():
     for term in (((a * a) * a) * a, 2.5 * ((a * a) * b), (b * b) * b, 1.0):
         want += term
     assert_array_equal(poly.eval(theta), want)
+
+
+def test_each_branch_sees_only_its_own_points():
+    seen = []
+    g = implemented_function(
+        "g", lambda x: seen.append(np.size(x)) or np.full(np.shape(x), 3.0))
+    u = sympy.Symbol("u")
+    grid = np.linspace(0.0, 2.0, 9)
+    piecewise = Profile(sympy.Piecewise((2, u <= 0.5), (g(u), u < 1),
+                                        (0, True)))
+    assert_array_equal(piecewise.eval_deriv(0, grid),
+                       [2, 2, 2, 3, 0, 0, 0, 0, 0])
+    capped = Profile(g(u), support_cap=1.0)
+    assert_array_equal(capped.eval_deriv(0, grid),
+                       [3, 3, 3, 3, 0, 0, 0, 0, 0])
+    assert seen == [1, 4]
+
+
+@pytest.mark.parametrize("spec", [abelian(1), heisenberg()],
+                         ids=["R1", "heisenberg"])
+@pytest.mark.parametrize("mu", [5, -5.5])
+def test_weight_equals_the_whole_expression_lambdify(spec, mu):
+    norm = HomogeneousNorm(spec)
+    prof = weight_field(norm, mu).profile
+    rng = np.random.default_rng(7)
+    u = np.concatenate([[0.0, 1.0, 2.0 ** (2 * norm.M)],
+                        rng.uniform(0.0, 2.0 ** (2 * norm.M + 1), 4096),
+                        rng.uniform(0.0, 1e6, 64)])
+    for k in range(3):
+        whole = sympy.lambdify(prof.u, sympy.diff(prof.expr, prof.u, k),
+                               modules="numpy")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.asarray(whole(u), dtype=float)
+        assert_array_equal(prof.eval_deriv(k, u), want)
+
+
+def flat_top_below_its_cap(u):
+    v = u - 1
+    return sympy.Piecewise((1, u <= 1),
+                           (1 - (10 * v ** 3 - 15 * v ** 4 + 6 * v ** 5),
+                            u < 2))
+
+
+@pytest.mark.parametrize("prof, g, cap", [
+    (bump_profile(1.5), lambda u: 1.5 * sympy.exp(1 + 1 / (u - 1)), 1.0),
+    (poly_bump_profile(2.0, 6), lambda u: 2.0 * (1 - u) ** 6, 1.0),
+    (flat_top_profile(), flat_top_below_its_cap, 2.0),
+], ids=["bump", "poly_bump", "flat_top"])
+def test_capped_profiles_equal_the_masked_reference(prof, g, cap):
+    # the reference evaluates g where u < cap - 1e-12 and is 0 elsewhere;
+    # the branches agree with it off [cap - 1e-12, cap)
+    u = np.concatenate([[0.0, 1.0, 2.0, cap, cap - 1e-11, cap + 1e-12],
+                        np.linspace(-0.5, 3.0, 1001)])
+    u = u[(u < cap - 1e-12) | (u >= cap)]
+    mask = u < cap - 1e-12
+    for k in range(3):
+        d = sympy.lambdify(prof.u, sympy.diff(g(prof.u), prof.u, k),
+                           modules="numpy")
+        want = np.zeros_like(u)
+        want[mask] = d(u[mask])
+        assert_array_equal(prof.eval_deriv(k, u), want)

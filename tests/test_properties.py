@@ -1,15 +1,19 @@
 """Property tests on random step-2 groups: the group law and its
-coordinate-major layout, the dilations, the check map, the exact scale
-derivatives of the model kernel and the gauge box."""
+coordinate-major layout, the dilations, the check map, the exact operator
+words, the exact scale derivatives of the model kernel and the gauge
+box."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nilharmonics.calculus import central_difference
+from nilharmonics.calculus import (
+    OperatorWord, central_difference, multi_indices_upto,
+)
 from nilharmonics.group_core import HomogeneousNorm, heisenberg, random_step2
 from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
+from nilharmonics.polynomials import Polynomial
 from nilharmonics.quadrature import check_map
 
 PROPERTY = settings(max_examples=20, deadline=None)
@@ -105,6 +109,26 @@ def test_negate_coords_is_the_check_map(spec, seed, data):
     eta = points(spec, seed)
     assert_array_equal(field.negate_coords()(eta),
                        check_map(spec, field)(eta))
+
+
+@PROPERTY
+@given(step2_specs(), st.integers(0, 2 ** 16), st.data())
+def test_symbolic_words_equal_finite_difference_words(spec, seed, data):
+    # a plain callable takes the nested 4th-order difference chain
+    kind = data.draw(st.sampled_from(["X", "Xt", "Y", "Yt"]))
+    word = OperatorWord(spec, kind, data.draw(
+        st.sampled_from(multi_indices_upto(spec.n, 2))))
+    monomials = multi_indices_upto(spec.n, 3)
+    coeffs = np.random.default_rng(seed).integers(-3, 4, len(monomials))
+    poly = Polynomial(spec.n, {gamma: int(c)
+                               for gamma, c in zip(monomials, coeffs)})
+    pts = points(spec, seed, scale=1.0)
+    for f in (poly, model_kernel(spec, 1.0).field):
+        exact = word.apply_symbolic(f).eval(pts)
+        fd = word.as_callable(f.eval)(pts)
+        # rounding of the nested differences over h^|alpha|
+        assert_allclose(fd, exact, atol=1e-7 * max(1.0, np.max(
+            np.abs(exact))))
 
 
 @PROPERTY
