@@ -185,18 +185,20 @@ def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
     lambda(alpha,beta) (u * g)(eta), one group convolution per Leibniz
     term, with u = f Xt^{alpha-beta} omega (f alone when mu = 0, where the
     weight is 1) and g = (Xt^beta psi-check)-check.  With iota set, the
-    outer word is taken under the integral: X^iota (u * g) = u * X^iota g."""
+    outer word is taken under the integral: X^iota (u * g) = u * X^iota g.
+    u vanishes wherever f does, so f's support box bounds u's too."""
     spec = T.spec
     out = np.zeros(np.shape(eta)[:-1])
     for alpha, beta, f, lam, wd in T.leibniz_terms():
         u = f if T.mu == 0.0 else \
             (lambda p, f=f, wd=wd: _evaluate(f, p) * wd.eval(p))
+        box = f.support_box() if isinstance(f, SmoothField) else None
         g = OperatorWord(spec, "Xt", beta).apply_symbolic(
             psi_check_field).negate_coords()
         if iota is not None and sum(iota) > 0:
             g = OperatorWord(spec, "X", iota).apply_symbolic(g)
-        out = out + (-1) ** sum(alpha) * lam * convolve(spec, u, g, eta,
-                                                        grid, form=form)
+        out = out + (-1) ** sum(alpha) * lam * convolve(
+            spec, u, g, eta, grid, form=form, support=box)
     return out
 
 

@@ -84,6 +84,13 @@ class GroupSpec:
     def n(self):
         return len(self.weights)
 
+    @property
+    def layer1(self):
+        """Indices of the weight-1 coordinates, where the product is plain
+        addition: a structure term there would need two multi-indices of
+        weight >= 1 summing to 1."""
+        return [k for k, d in enumerate(self.weights) if d == 1]
+
     def mdeg(self, alpha):
         """Homogeneous weight d(alpha) of a multi-index."""
         return sum(Fraction(d) * a for d, a in zip(self.weights, alpha))

@@ -274,6 +274,39 @@ class SmoothField:
     def __call__(self, theta):
         return self.eval(theta)
 
+    def support_box(self):
+        """(lo, hi) arrays with the field 0 outside the coordinate box
+        lo <= theta <= hi, or None when no box is known.
+
+        Known for a capped profile over a base sum_k c_k theta_k^2 +
+        b_k theta_k + d with every c_k > 0 and no cross term: every term
+        P_k g^(k)(N) vanishes where N >= support_cap, and {N < cap} is the
+        ellipsoid sum_k c_k (theta_k - s_k)^2 < R with s_k = -b_k / 2c_k.
+        R is widened by 1e-9 of the size of the base's terms there, far
+        above the rounding of N, so a point that evaluates nonzero in
+        floating point never falls outside."""
+        cap = self.profile.support_cap
+        if cap is None:
+            return None
+        quad, lin, const = np.zeros(self.n), np.zeros(self.n), 0.0
+        for e, c in self.base.coeffs.items():
+            used = [k for k, p in enumerate(e) if p]
+            if not used:
+                const = float(c)
+            elif len(used) > 1 or e[used[0]] > 2:
+                return None
+            else:
+                (quad if e[used[0]] == 2 else lin)[used[0]] = float(c)
+        if np.any(quad <= 0):
+            return None
+        center = -lin / (2 * quad)
+        completed = float(np.sum(lin ** 2 / (4 * quad)))
+        cap = float(cap)
+        radius2 = cap - const + completed \
+            + 1e-9 * (abs(cap) + abs(const) + completed)
+        half = np.sqrt(max(radius2, 0.0) / quad)
+        return center - half, center + half
+
     def diff(self, j):
         """Euclidean partial derivative d/dtheta_j, exact."""
         dN = self.base.diff(j)

@@ -111,7 +111,29 @@ def haar_integrate(f, grid: Grid, calibration=1.0):
     return float(calibration) * float(np.sum(vals * grid.weights))
 
 
-def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first"):
+def _sub_boxes(spec: GroupSpec, etas, grid: Grid, support):
+    """Groups (rows, index) of the eta that keep the same sub-box of the
+    tensor grid, grid.points[index], in the second form against a factor
+    that vanishes off the box support = (lo, hi).  On a coordinate k of
+    weight 1, (eta xi^{-1})_k = eta_k - xi_k, so only the xi_k in
+    [eta_k - hi_k, eta_k - lo_k] can pair with a nonzero value."""
+    lo, hi = (np.asarray(b, dtype=float) for b in support)
+    layer1 = spec.layer1
+    ends = np.array([np.searchsorted(grid.axes[k], etas[:, k] - bound, side)
+                     for k in layer1 for bound, side in ((hi[k], "left"),
+                                                         (lo[k], "right"))]
+                    ).T
+    keys, group = np.unique(ends, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    for i, key in enumerate(keys):
+        index = [slice(None)] * spec.n
+        for j, k in enumerate(layer1):
+            index[k] = slice(key[2 * j], key[2 * j + 1])
+        yield np.flatnonzero(group == i), tuple(index)
+
+
+def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first", *,
+             support=None):
     """Group convolution (f * g)(eta).
 
     form='first' evaluates  int f(xi) g(xi^{-1} eta) dlambda(xi),
@@ -119,6 +141,15 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first"):
     'both' returns the pair for cross-checking.  The factor that lives on
     the grid alone is evaluated once and folded into the weights.  Chunks
     of 2^16 (eta, xi) pairs keep each temporary (512 KB) in L2 cache.
+
+    Pairs whose term is exactly 0 are skipped, which changes the sum only
+    in its order:
+    - in every form, the grid nodes whose folded weight is exactly 0;
+    - in the second form with support = (lo, hi), a coordinate box off
+      which f vanishes, every xi with eta xi^{-1} outside the box on a
+      coordinate of weight 1.  There the group law is plain addition
+      (GroupSpec.layer1), so (eta xi^{-1})_k = eta_k - xi_k exactly, and
+      each eta keeps a sub-box of the tensor grid.
     """
     if form not in ("first", "second", "both"):
         raise ValueError(f"unknown form {form!r}")
@@ -126,18 +157,24 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first"):
     eta = np.asarray(eta, dtype=float)
     single = eta.ndim == 1
     etas = eta.reshape(-1, spec.n)
-    xi = grid.flat_points
-    step = max(1, 2 ** 16 // len(xi))  # (eta, xi) pairs per chunk
     outs = []
     for fm in forms:
         fixed, moving = (f, g) if fm == "first" else (g, f)
-        w = _evaluate(fixed, xi) * grid.flat_weights
-        out = np.empty(len(etas))
-        for i0 in range(0, len(etas), step):
-            e = etas[i0:i0 + step, None, :]
-            arg = spec.multiply(-xi[None, :, :], e) if fm == "first" \
-                else spec.multiply(e, -xi[None, :, :])
-            out[i0:i0 + step] = _evaluate(moving, arg) @ w
+        w = _evaluate(fixed, grid.points) * grid.weights
+        blocks = [(np.arange(len(etas)), ())] if support is None \
+            or fm == "first" else _sub_boxes(spec, etas, grid, support)
+        out = np.zeros(len(etas))
+        for rows, index in blocks:
+            keep = w[index] != 0
+            xi, wk = grid.points[index][keep], w[index][keep]
+            if not len(xi):
+                continue  # every pair of these eta is 0
+            step = max(1, 2 ** 16 // len(xi))  # (eta, xi) pairs per chunk
+            for i0 in range(0, len(rows), step):
+                e = etas[rows[i0:i0 + step], None, :]
+                arg = spec.multiply(-xi[None, :, :], e) if fm == "first" \
+                    else spec.multiply(e, -xi[None, :, :])
+                out[rows[i0:i0 + step]] = _evaluate(moving, arg) @ wk
         outs.append(out[0] if single else out.reshape(eta.shape[:-1]))
     return outs[0] if len(outs) == 1 else tuple(outs)
 

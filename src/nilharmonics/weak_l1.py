@@ -352,6 +352,24 @@ def _distances(spec, norm, pts, centers, reduce=lambda d: d):
         for blk in _chunks(len(pts), len(centers) * spec.n)])
 
 
+def _count_within(spec, norm, pts, centers, r):
+    """Number of centers c with |c^{-1} x| <= r, for each point x.  Only
+    the pairs in the layer-1 box are gauged: on a coordinate k of weight 1,
+    (c^{-1} x)_k = x_k - c_k, which |c^{-1} x| <= r bounds by
+    norm.box(r)_k (padded here against the gauge's rounding)."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, spec.n)
+    layer1 = spec.layer1
+    reach = norm.box(r)[layer1] * (1.0 + 1e-9)
+    counts = np.zeros(len(pts), dtype=int)
+    for blk in _chunks(len(pts), len(centers) * len(layer1)):
+        near = np.all(np.abs(pts[blk, None, layer1] - centers[:, layer1])
+                      <= reach, axis=-1)
+        i, j = np.nonzero(near)
+        d = norm(spec.multiply(-centers[j], pts[blk][i]))
+        counts[blk] = np.bincount(i[d <= r], minlength=len(near))
+    return counts
+
+
 def _covering_radius(spec: GroupSpec, norm: HomogeneousNorm):
     """Max over the unit cell (9 samples per axis) of the gauge distance to
     the nearest lattice point, at lattice scale s = 1."""
@@ -371,9 +389,8 @@ def _design_kappa(spec, norm, c0):
     that cover one point, measured at unit scale."""
     offs = tensor_grid([np.arange(-4, 5)] * spec.n).reshape(-1, spec.n)
     probes = np.random.default_rng(0).uniform(-0.5, 0.5, size=(200, spec.n))
-    counts = _distances(spec, norm, probes,
-                        _lattice_coords(spec, 1.0 / c0, offs),
-                        lambda d: np.sum(d <= 1.0, axis=1))
+    counts = _count_within(spec, norm, probes,
+                           _lattice_coords(spec, 1.0 / c0, offs), 1.0)
     return int(np.max(counts))
 
 
@@ -541,8 +558,7 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
     r_m, centers = scale_centers
     probes = _ball_samples(spec, norm, centers[:: max(1, len(centers) // 100)],
                            r_m, 8, rng).reshape(-1, spec.n)
-    kappa = int(np.max(_distances(spec, norm, probes, centers,
-                                  lambda d: np.sum(d <= r_m, axis=1)),
+    kappa = int(np.max(_count_within(spec, norm, probes, centers, r_m),
                        initial=0))
     tail_win = Window(tuple(nu.xi[0] if len(nu.w) else np.zeros(spec.n)),
                       tuple(norm.box(max(1e-6, 2.0 ** i0))), 0.0,

@@ -434,6 +434,51 @@ def test_scaled_chart_matches_direct(mu):
     assert np.max(np.abs(direct - scaled) / np.abs(direct)) < 2e-2
 
 
+@pytest.mark.parametrize("mu", [0.0, None])
+def test_scaled_chart_evaluates_the_density_near_its_support(monkeypatch,
+                                                             mu):
+    # acceptance 09's order-1 Heisenberg triple at a small resolution: the
+    # second form reads the density on a quarter of the nominal pairs at
+    # most, for mu = 0 and for mu = Q + Gamma (u = f Xt omega)
+    from nilharmonics.distributions import poisson_extend_scaled
+    f = heis_bump(1.2, (0.3, 0.2, -0.1))
+    T = DistributionRep(HEIS, HNORM, 1.0, [((1, 0, 0), f)], mu=mu)
+    ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
+    etas = Grid([0.0] * 3, [2.1] * 3, [9] * 3).flat_points
+    read = []
+    field_eval = SmoothField.eval
+
+    def spy(self, theta):
+        if self is f:
+            read.append(np.size(theta) // 3)
+        return field_eval(self, theta)
+
+    monkeypatch.setattr(SmoothField, "eval", spy)
+    terms = len(list(T.leibniz_terms()))
+    for a in (1.0, 0.125):
+        read.clear()
+        poisson_extend_scaled(T, ker, a, etas, span=4.0, count=13)
+        assert 0 < sum(read) <= 0.25 * len(etas) * 13 ** 3 * terms
+
+
+def test_first_form_evaluates_the_kernel_at_weighted_nodes_only():
+    f = heis_bump(1.2, (0.3, 0.2, -0.1))
+    kernel = dilated_field(KernelSpec(HEIS, HNORM, "model_power",
+                                      Gamma=1.0), 0.5).negate_coords()
+    grid = Grid([0.3, 0.2, -0.1], [1.3] * 3, [13] * 3)
+    etas = np.array([[0.0, 0.0, 0.0], [0.5, -0.4, 0.3]])
+    read = []
+
+    def spy(p):
+        read.append(np.size(p) // 3)
+        return kernel.eval(p)
+
+    convolve(HEIS, f, spy, etas, grid)
+    weighted = np.count_nonzero(f(grid.points) * grid.weights)
+    assert weighted < 0.5 * grid.weights.size
+    assert sum(read) == len(etas) * weighted
+
+
 def test_scaled_chart_pointwise_limit():
     # u_a -> mass * omega_mu * g pointwise as a -> 0, down to a = 1/64
     from nilharmonics.distributions import poisson_extend_scaled

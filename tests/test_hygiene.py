@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, no
 module reaches into another object's private attributes, and each
 numerical idiom (the tensor grid, the finite-difference stencil, the
-kernel field) is called from one place only."""
+kernel field, the support-box pruning) is called from one place only."""
 
 import ast
 from pathlib import Path
@@ -115,6 +115,13 @@ def test_distributions_has_no_group_law_loop():
     # the extensions reach the group law only through quadrature.convolve
     assert {caller for caller in callers("multiply")
             if caller[0] == "distributions.py"} == set()
+
+
+def test_zero_pairs_are_pruned_in_the_pair_loop_only():
+    # convolve's sub-boxes of the density's support are the one place
+    # that cuts a grid by coordinate
+    assert {module for module, _ in callers("searchsorted")} \
+        == {"quadrature.py"}
 
 
 def test_kernels_build_one_field():

@@ -139,3 +139,61 @@ def test_capped_profiles_equal_the_masked_reference(prof, g, cap):
         want = np.zeros_like(u)
         want[mask] = d(u[mask])
         assert_array_equal(prof.eval_deriv(k, u), want)
+
+
+def shifted_ball(radius, shift, profile):
+    """profile(|theta - shift|^2 / radius^2), expanded into monomials."""
+    coeffs = {(0,) * N3: float(np.dot(shift, shift))}
+    for k in range(N3):
+        coeffs[tuple(2 * (j == k) for j in range(N3))] = 1.0
+        coeffs[tuple(int(j == k) for j in range(N3))] = -2.0 * shift[k]
+    return SmoothField(Polynomial(N3, coeffs) * (1.0 / radius ** 2), profile)
+
+
+def face_points(center, half, k, t):
+    """center moved by -t * half[k] and by +t * half[k] along axis k."""
+    out = np.tile(center, (2, 1))
+    out[:, k] += np.array([-1.0, 1.0]) * t * half[k]
+    return out
+
+
+@pytest.mark.parametrize("field, center, half", [
+    (shifted_ball(1.2, [0.3, 0.2, -0.1], poly_bump_profile(1.0, 6)),
+     np.array([0.3, 0.2, -0.1]), np.full(N3, 1.2)),
+    (SmoothField(BASE, flat_top_profile()), np.zeros(N3),
+     np.full(N3, np.sqrt(2.0))),
+], ids=["heis_bump", "flat_top"])
+def test_support_box_is_tight(field, center, half):
+    lo, hi = field.support_box()
+    np.testing.assert_allclose(lo, center - half, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(hi, center + half, rtol=0, atol=1e-8)
+    for k in range(N3):
+        assert np.all(field(face_points(center, half, k, 1 - 1e-6)) > 0)
+    # every derivative term carries a derivative of the capped profile, so
+    # it vanishes on and beyond the box's faces too (on the exact face
+    # |theta - s|^2 = R the rounding of N can still leave g > 0)
+    for f in (field, field.diff(0), field.diff(2).diff(1)):
+        assert_array_equal(f.support_box(), (lo, hi))
+        for k in range(N3):
+            for t in (1.0, 1.01):
+                pts = face_points(center, (hi - lo) / 2, k, t)
+                assert_array_equal(f(pts), 0.0)
+    inside = (center + np.random.default_rng(0).uniform(-1.5, 1.5, (4000, N3))
+              * half)
+    vals = field(inside)
+    outside = np.any((inside < lo) | (inside > hi), axis=-1)
+    assert np.all(vals[outside] == 0) and np.any(vals[~outside] > 0)
+
+
+@pytest.mark.parametrize("field", [
+    SmoothField(BASE + Polynomial(N3, {(1, 1, 0): 0.5}), poly_bump_profile()),
+    SmoothField(BASE, gaussian_profile()),
+    SmoothField(BASE - 2 * Polynomial(N3, {(0, 0, 2): 1}),
+                poly_bump_profile()),
+    SmoothField(BASE - Polynomial(N3, {(0, 0, 2): 1})
+                + Polynomial.coordinate(N3, 2), poly_bump_profile()),
+    SmoothField(BASE * BASE, poly_bump_profile()),
+], ids=["cross_term", "uncapped", "negative_diagonal", "zero_diagonal",
+        "quartic"])
+def test_support_box_unknown(field):
+    assert field.support_box() is None

@@ -1,7 +1,7 @@
 """Property tests on random step-2 groups: the group law and its
 coordinate-major layout, the dilations, the check map, the exact operator
-words, the exact scale derivatives of the model kernel and the gauge
-box."""
+words, the exact scale derivatives of the model kernel, the gauge box, and the
+pruned convolution."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,9 @@ from nilharmonics.calculus import (
 )
 from nilharmonics.group_core import HomogeneousNorm, heisenberg, random_step2
 from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
-from nilharmonics.polynomials import Polynomial
-from nilharmonics.quadrature import check_map
+from nilharmonics.polynomials import Polynomial, SmoothField, \
+    poly_bump_profile
+from nilharmonics.quadrature import Grid, check_map, convolve
 
 PROPERTY = settings(max_examples=20, deadline=None)
 
@@ -80,6 +81,9 @@ def test_multiply_is_coordinate_major_and_exact(spec, seed):
         out = spec.multiply(eta, xi)
         assert out.shape == np.broadcast_shapes(eta_shape, xi_shape)
         assert_array_equal(out, multiply_summed(spec, *kept))
+        # the weight-1 coordinates, on which convolve prunes, add exactly
+        assert_array_equal(out[..., spec.layer1],
+                           eta[..., spec.layer1] + xi[..., spec.layer1])
         assert all(out[..., k].flags.c_contiguous for k in range(n))
         assert_array_equal(eta, kept[0])
         assert_array_equal(xi, kept[1])
@@ -151,3 +155,62 @@ def test_box_reaches_the_sphere_on_each_axis(spec, r):
     # row k is box(r)[k] e_k, the far end of the box on axis k
     norm = HomogeneousNorm(spec)
     assert_allclose(norm(np.diag(norm.box(r))), r, rtol=1e-12)
+
+
+def capped_density(spec, rng):
+    """(1 - sum_k c_k (theta_k - s_k)^2 / r^2)^6 with a random shift s,
+    radius r and anisotropic diagonal c, expanded into monomials."""
+    n = spec.n
+    s = rng.uniform(-1.0, 1.0, n)
+    c = rng.uniform(0.5, 2.0, n) / rng.uniform(0.3, 1.5) ** 2
+    coeffs = {(0,) * n: float(np.sum(c * s * s))}
+    for k in range(n):
+        coeffs[tuple(2 * (j == k) for j in range(n))] = c[k]
+        coeffs[tuple(int(j == k) for j in range(n))] = -2.0 * c[k] * s[k]
+    return SmoothField(Polynomial(n, coeffs), poly_bump_profile(1.0, 6))
+
+
+class Spy:
+    """A factor that counts its nonzero values off the fixed-factor call
+    on grid.points."""
+
+    def __init__(self, f, grid):
+        self.f, self.grid, self.nonzero = f, grid, 0
+
+    def __call__(self, p):
+        vals = self.f(p)
+        if p is not self.grid.points:
+            self.nonzero += int(np.count_nonzero(vals))
+        return vals
+
+
+@PROPERTY
+@given(st.one_of(step2_specs(), st.just(heisenberg())),
+       st.integers(0, 2 ** 16), st.sampled_from(["first", "second", "both"]),
+       st.booleans())
+def test_pruned_convolve_equals_the_full_pair_sum(spec, seed, form, graded):
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    f = capped_density(spec, rng)
+    shift = rng.uniform(-0.5, 0.5, n)
+    g = lambda p: np.exp(-np.sum((p - shift) ** 2, axis=-1))
+    grid = Grid(rng.uniform(-0.3, 0.3, n), rng.uniform(1.0, 2.0, n),
+                rng.integers(4, 8 if n <= 3 else 6, n),
+                grading=rng.uniform(0.5, 3.0, n) if graded else None)
+    etas = rng.uniform(-1.5, 1.5, (9, n))
+    fs, gs = Spy(f, grid), Spy(g, grid)
+    got = convolve(spec, fs, gs, etas, grid, form,
+                   support=f.support_box())
+    forms = ("first", "second") if form == "both" else (form,)
+    got = got if form == "both" else (got,)
+    xi = grid.flat_points
+    nonzero = 0
+    for fm, out in zip(forms, got):
+        fixed, moving = (f, g) if fm == "first" else (g, f)
+        args = spec.multiply(-xi, etas[:, None]) if fm == "first" \
+            else spec.multiply(etas[:, None], -xi)
+        w = fixed(xi) * grid.flat_weights
+        vals = moving(args)
+        assert_allclose(out, vals @ w, rtol=1e-13, atol=0)
+        nonzero += int(np.count_nonzero(vals[:, w != 0]))
+    assert fs.nonzero + gs.nonzero == nonzero

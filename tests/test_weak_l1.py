@@ -12,7 +12,7 @@ from nilharmonics.kernels import KernelSpec
 from nilharmonics.io import load_measure
 from nilharmonics.weak_l1 import (
     AtomicMeasure, CoveringCertificate, Window, U_i_profile, DyadicPiece,
-    U_nu, _ball_samples, _forbid_radius, _lattice_coords, _lattice_scales,
+    U_nu, _ball_samples, _count_within, _forbid_radius, _lattice_coords, _lattice_scales,
     build_covering, measure_poisson, mu_poisson_bounds, phi_gamma,
     superlevel_measure, u_piece, verify_covering, weak_l1_constant,
 )
@@ -445,6 +445,41 @@ def test_ball_samples_fill_their_balls_uniformly(spec):
                                        count, rng)) <= r / 2)
     p = 2.0 ** -float(spec.Q)
     assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / count)
+
+
+@pytest.mark.parametrize("norm", [HNORM, HomogeneousNorm(HEIS, "koranyi"),
+                                  HomogeneousNorm(random_step2(3, 2, 4))],
+                         ids=["heisenberg", "koranyi", "step2"])
+def test_count_within_gauges_only_the_layer1_box(monkeypatch, norm):
+    spec, r = norm.spec, 0.5
+    rng = np.random.default_rng(5)
+    # dyadic centers, so that c . (r e_k) is at distance r exactly
+    centers = rng.integers(-8, 9, (300, spec.n)) / 4.0
+    near = _ball_samples(spec, norm, centers[::30], r, 20, rng)
+    # and points on the spheres |c^{-1} x| = r: along the axes of weight
+    # 1, which reach the layer-1 box's faces, and elsewhere up to rounding
+    axes = r * np.eye(spec.n)[spec.layer1]
+    axes = np.concatenate([axes, -axes])
+    z = rng.normal(size=(len(near), 20, spec.n))
+    on = np.stack([spec.dilate(r / norm(p), p) for p in
+                   z.reshape(-1, spec.n)]).reshape(z.shape)
+    pts = np.concatenate([
+        near.reshape(-1, spec.n),
+        spec.multiply(centers[::30, None, :], on).reshape(-1, spec.n),
+        spec.multiply(centers[::30, None, :], axes).reshape(-1, spec.n),
+        rng.uniform(-2, 2, (200, spec.n))])
+    want = np.sum(norm(spec.multiply(-centers, pts[:, None, :])) <= r, 1)
+    gauged = []
+    gauge = HomogeneousNorm.__call__
+
+    def counted(self, eta):
+        gauged.append(np.size(eta) // spec.n)
+        return gauge(self, eta)
+
+    monkeypatch.setattr(HomogeneousNorm, "__call__", counted)
+    np.testing.assert_array_equal(
+        _count_within(spec, norm, pts, centers, r), want)
+    assert sum(gauged) < 0.2 * len(pts) * len(centers)
 
 
 def _check_covering_invariants(cert, spec, norm):
