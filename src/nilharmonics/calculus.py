@@ -176,6 +176,13 @@ def multi_indices_upto(n, max_len):
     return out
 
 
+def words_upto_weight(spec: GroupSpec, w):
+    """All alpha with homogeneous weight d(alpha) <= w, in the order of
+    multi_indices_upto; every dilation weight is >= 1, so |alpha| <= w."""
+    return [a for a in multi_indices_upto(spec.n, int(w))
+            if spec.mdeg(a) <= w]
+
+
 def sub_multi_indices(alpha):
     """All beta <= alpha componentwise, in the order of multi_indices_upto."""
     return [b for b in multi_indices_upto(len(alpha), sum(alpha))

@@ -18,7 +18,7 @@ import numpy as np
 import sympy
 
 from .calculus import OperatorWord, build_field, leibniz_tilde_coeff, \
-    multi_indices_upto, sub_multi_indices
+    sub_multi_indices, words_upto_weight
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .kernels import KernelSpec, _sweep_points, dilated_field
 from .polynomials import Polynomial, Profile, SmoothField
@@ -66,14 +66,10 @@ class TestFunction:
         additionally a decreasing outer profile of |phi| itself."""
         report = {"tag": self.tag, "ok": True, "sups": {}}
         shells = [radius / 4, radius, 4 * radius]
-        for alpha in multi_indices_upto(self.spec.n, 2):
-            if self.spec.mdeg(alpha) > 2:
-                continue
+        sweeps = [_sweep_points(norm, rad, 16, 25) for rad in shells]
+        for alpha in words_upto_weight(self.spec, 2):
             f = self.word_callable("X", alpha)
-            sups = []
-            for rad in shells:
-                pts = _sweep_points(norm, rad, 16, 25)
-                sups.append(float(np.max(np.abs(f(pts)))))
+            sups = [float(np.max(np.abs(f(pts)))) for pts in sweeps]
             report["sups"][alpha] = sups
             finite = all(np.isfinite(s) for s in sups)
             stable = finite and sups[2] <= 1.05 * max(sups[0], sups[1])
@@ -275,26 +271,21 @@ def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, radius=50.0,
     # identically at both radii so the doubling comparison only probes
     # the tail
     core = _sweep_points(norm, 4.0, n_dirs, 2 * n_radii)
+    tails = [_sweep_points(norm, rad, n_dirs, n_radii)
+             for rad in (radius, 2 * radius)]
     report = {"bounded_derivatives": {}, "ok_a": True, "ok_b": True}
-    for alpha in multi_indices_upto(spec.n, 2):
-        if spec.mdeg(alpha) > 2:
-            continue
+    for alpha in words_upto_weight(spec, 2):
         word = OperatorWord(spec, "X", alpha)
-        sups = []
-        for rad in (radius, 2 * radius):
-            pts = np.vstack([core, _sweep_points(norm, rad, n_dirs,
-                                                 n_radii)])
-            sups.append(float(np.max(np.abs(word.apply(weighted, pts)))))
+        sups = [float(np.max(np.abs(word.apply(weighted, np.vstack(
+            [core, pts]))))) for pts in tails]
         stable = all(np.isfinite(s) for s in sups) \
             and sups[1] <= 1.10 * sups[0]
         report["bounded_derivatives"][alpha] = {"sups": sups,
                                                 "stable": stable}
         report["ok_a"] = report["ok_a"] and stable
 
-    ratios = []
-    for rad in (radius, 2 * radius):
-        pts = _sweep_points(norm, rad, n_dirs, n_radii)
-        ratios.append(float(np.min(conv_phi(pts) / w_minus.eval(pts))))
+    ratios = [float(np.min(conv_phi(pts) / w_minus.eval(pts)))
+              for pts in tails]
     report["lower_bound_ratios"] = ratios
     report["ok_b"] = bool(ratios[0] > 1e-12 and
                           ratios[1] > 0.5 * ratios[0])

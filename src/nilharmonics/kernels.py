@@ -14,8 +14,11 @@ in closed form:
 Every kernel quantity is an exact SmoothField: the dilates P_a, the scale
 derivatives (a d/da)^k P_a and the comparison weights omega_mu, so the
 harmonicity residual of the classical family is computed without a grid.
-Certification is empirical: measured sup-ratios over a sweep, accepted only
-when stable under doubling the sweep domain.
+Certification is one estimate table: each estimate is a list of rows
+(a, lhs, majorant, p) of exact fields, its ratio the measured sup of
+|lhs| / (a^{-p} majorant(delta_{1/a} .)) over one gauge sweep, accepted
+only when stable on the sweep of doubled radius.  A new kernel family
+needs no certificate code.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from math import gamma as gamma_fn
 
 import numpy as np
 
-from .calculus import OperatorWord, build_conversion, multi_indices_upto
+from .calculus import OperatorWord, build_conversion, words_upto_weight
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .polynomials import Polynomial, Profile, SmoothField
 from .quadrature import approximate_identity
@@ -120,113 +123,58 @@ def _sweep_points(norm: HomogeneousNorm, radius, n_dirs, n_radii, seed=0):
     return np.concatenate([p.reshape(-1, spec.n) for p in pts], axis=0)
 
 
-def _sup_ratio(lhs_abs, majorant):
-    return float(np.max(lhs_abs / majorant))
-
-
 def certify_RGamma(kernel: KernelSpec, radius=100.0, n_dirs=24, n_radii=40,
                    seed=0):
-    """Measure the sup over a sweep of |estimate LHS| / majorant for the
-    comparability bound, the invariant-derivative bounds (left words and,
-    via conversion tables, reversed right words), and the scale-derivative
-    bounds, for words of weight d(alpha) <= 2 and scale orders k <= 2 at
-    a = 1/4, 1, 4; each ratio is re-measured on the doubled sweep domain and
-    the certificate passes only if no ratio grows by more than 5%.  The
-    report also carries the kernel's closed-form mass.
+    """Certify the kernel's class from one estimate table.
+
+    Each estimate is a list of rows (a, lhs, majorant, p) of exact fields,
+    and its ratio is the sup over its rows and over a gauge sweep of
+    |lhs| / (a^{-p} majorant(delta_{1/a} .)).  The table holds the
+    two-sided comparability with omega_{-Q-Gamma}, the left-invariant
+    words X^alpha P of weight d(alpha) <= 2 against omega_{-Q-Gamma-d},
+    the scale derivatives (a d/da)^k P_a, k = 1, 2, and the dilated words
+    X^alpha P_a, both at a = 1/4, 1, 4, and the reversed right words
+    tilde-Y^alpha P through their conversion tables.  Every row is measured on one sweep
+    to `radius` and one to 2 radius; an estimate is stable, and the
+    certificate passes only if all are, when the ratio is finite and grows
+    by at most 5% on the doubled sweep.  The report also carries the
+    kernel's closed-form mass.
     """
-    spec, norm = kernel.spec, kernel.norm
+    spec, P = kernel.spec, kernel.field
+    Q, w0 = float(spec.Q), kernel.weight()
+    words = [(alpha, float(spec.mdeg(alpha)))
+             for alpha in words_upto_weight(spec, 2) if sum(alpha)]
+    omega = {d: kernel.weight(d) for _, d in words}
+    scales = (0.25, 1.0, 4.0)
+    table = {"comparability_upper": [(1.0, P, w0, 0.0)],
+             "comparability_lower": [(1.0, w0, P, 0.0)]}
+    for alpha, d in words:
+        table[f"derivative_X_{alpha}"] = [(1.0, OperatorWord(
+            spec, "X", alpha).apply_symbolic(P), omega[d], 0.0)]
+    for k in (1, 2):
+        table[f"scale_derivative_{k}"] = [
+            (a, scale_derivative(kernel, k, a), w0, Q) for a in scales]
+    for alpha, d in words:
+        table[f"dilated_derivative_X_{alpha}"] = [
+            (a, OperatorWord(spec, "X", alpha).apply_symbolic(
+                dilated_field(kernel, a)), omega[d], Q + d) for a in scales]
+    for alpha, d in words:
+        table[f"derivative_Yt_{alpha}"] = [(1.0, build_conversion(
+            spec, alpha).apply_symbolic(P), omega[d], 0.0)]
+
+    sweeps = [_sweep_points(kernel.norm, r, n_dirs, n_radii, seed)
+              for r in (radius, 2 * radius)]
     report = {"family": kernel.family, "Gamma": kernel.Gamma,
               "mass": kernel.mass, "estimates": {}, "passed": True}
-
-    def record(name, measure):
-        r1 = measure(radius)
-        r2 = measure(2 * radius)
-        ok = np.isfinite(r1) and np.isfinite(r2) \
-            and r2 <= 1.05 * r1
+    for name, rows in table.items():
+        r1, r2 = (float(np.max([
+            np.max(np.abs(lhs.eval(pts))
+                   / (a ** -p * majorant(spec.dilate(1.0 / a, pts))))
+            for a, lhs, majorant, p in rows])) for pts in sweeps)
+        ok = np.isfinite(r1) and np.isfinite(r2) and r2 <= 1.05 * r1
         report["estimates"][name] = {"sup_ratio": r1,
                                      "doubled_sup_ratio": r2, "stable": ok}
         report["passed"] = report["passed"] and ok
-
-    alphas = [a for a in multi_indices_upto(spec.n, 2)
-              if 0 < spec.mdeg(a) <= 2]
-    # one comparison weight omega_{-Q-Gamma-extra} per distinct extra
-    weights = {extra: kernel.weight(extra) for extra in
-               {0.0} | {float(spec.mdeg(a)) for a in alphas}}
-
-    # (i) two-sided comparability with omega_{-Q-Gamma}
-    w0 = weights[0.0]
-
-    def comparability_upper(rad):
-        pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
-        return _sup_ratio(kernel(pts), w0(pts))
-
-    def comparability_lower(rad):
-        pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
-        return _sup_ratio(w0(pts), kernel(pts))
-
-    record("comparability_upper", comparability_upper)
-    record("comparability_lower", comparability_lower)
-
-    # (ii) left-invariant derivative bounds, exact symbolic derivatives
-    for alpha in alphas:
-        wa = weights[float(spec.mdeg(alpha))]
-        deriv = OperatorWord(spec, "X", alpha).apply_symbolic(kernel.field)
-
-        def measure(rad, deriv=deriv, wa=wa):
-            pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
-            return _sup_ratio(np.abs(deriv.eval(pts)), wa(pts))
-
-        record(f"derivative_X_{alpha}", measure)
-
-    # (iii) scale derivatives of P_a against a^{-Q} omega(delta_{1/a} .)
-    scales = (0.25, 1.0, 4.0)
-    for k in (1, 2):
-        fields = [(a, scale_derivative(kernel, k, a)) for a in scales]
-
-        def measure(rad, fields=fields):
-            worst = 0.0
-            pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
-            for a, field in fields:
-                lhs = np.abs(field.eval(pts))
-                maj = a ** -float(spec.Q) * w0(spec.dilate(1.0 / a, pts))
-                worst = max(worst, _sup_ratio(lhs, maj))
-            return worst
-
-        record(f"scale_derivative_{k}", measure)
-
-    # remark: dilated invariant derivatives, |X^alpha P_a| against
-    # a^{-Q-d(alpha)} omega_{-Q-Gamma-d(alpha)}(delta_{1/a} .)
-    for alpha in alphas:
-        d_alpha = float(spec.mdeg(alpha))
-        wa = weights[d_alpha]
-        derivs = [(a, OperatorWord(spec, "X", alpha).apply_symbolic(
-            dilated_field(kernel, a))) for a in scales]
-
-        def measure(rad, d_alpha=d_alpha, wa=wa, derivs=derivs):
-            worst = 0.0
-            pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
-            for a, deriv in derivs:
-                maj = a ** -(float(spec.Q) + d_alpha) \
-                    * wa(spec.dilate(1.0 / a, pts))
-                worst = max(worst, _sup_ratio(np.abs(deriv.eval(pts)), maj))
-            return worst
-
-        record(f"dilated_derivative_X_{alpha}", measure)
-
-    # remark: reversed right-invariant words via the conversion table
-    for alpha in alphas:
-        if sum(alpha) > 3:
-            continue
-        wa = weights[float(spec.mdeg(alpha))]
-        table = build_conversion(spec, alpha)
-        deriv = table.apply_symbolic(kernel.field)
-
-        def measure(rad, deriv=deriv, wa=wa):
-            pts = _sweep_points(norm, rad, n_dirs, n_radii, seed)
-            return _sup_ratio(np.abs(deriv.eval(pts)), wa(pts))
-
-        record(f"derivative_Yt_{alpha}", measure)
-
     return report
 
 

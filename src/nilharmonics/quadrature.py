@@ -73,7 +73,6 @@ class Grid:
         counts = np.broadcast_to(np.asarray(counts, dtype=int), (n,))
         gradings = (np.zeros(n) if grading is None else
                     np.broadcast_to(np.asarray(grading, dtype=float), (n,)))
-        self.rule = rule
         self.axes, axis_w = [], []
         for k in range(n):
             x, w = _axis_nodes(self.centers[k], self.half_widths[k],
@@ -137,10 +136,10 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first", *,
     """Group convolution (f * g)(eta).
 
     form='first' evaluates  int f(xi) g(xi^{-1} eta) dlambda(xi),
-    form='second' the equal int f(eta xi^{-1}) g(xi) dlambda(xi);
-    'both' returns the pair for cross-checking.  The factor that lives on
-    the grid alone is evaluated once and folded into the weights.  Chunks
-    of 2^16 (eta, xi) pairs keep each temporary (512 KB) in L2 cache.
+    form='second' the equal int f(eta xi^{-1}) g(xi) dlambda(xi).  The
+    factor that lives on the grid alone is evaluated once and folded into
+    the weights.  Chunks of 2^16 (eta, xi) pairs keep each temporary
+    (512 KB) in L2 cache.
 
     Pairs whose term is exactly 0 are skipped, which changes the sum only
     in its order:
@@ -151,32 +150,27 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first", *,
       (GroupSpec.layer1), so (eta xi^{-1})_k = eta_k - xi_k exactly, and
       each eta keeps a sub-box of the tensor grid.
     """
-    if form not in ("first", "second", "both"):
+    if form not in ("first", "second"):
         raise ValueError(f"unknown form {form!r}")
-    forms = ("first", "second") if form == "both" else (form,)
     eta = np.asarray(eta, dtype=float)
-    single = eta.ndim == 1
     etas = eta.reshape(-1, spec.n)
-    outs = []
-    for fm in forms:
-        fixed, moving = (f, g) if fm == "first" else (g, f)
-        w = _evaluate(fixed, grid.points) * grid.weights
-        blocks = [(np.arange(len(etas)), ())] if support is None \
-            or fm == "first" else _sub_boxes(spec, etas, grid, support)
-        out = np.zeros(len(etas))
-        for rows, index in blocks:
-            keep = w[index] != 0
-            xi, wk = grid.points[index][keep], w[index][keep]
-            if not len(xi):
-                continue  # every pair of these eta is 0
-            step = max(1, 2 ** 16 // len(xi))  # (eta, xi) pairs per chunk
-            for i0 in range(0, len(rows), step):
-                e = etas[rows[i0:i0 + step], None, :]
-                arg = spec.multiply(-xi[None, :, :], e) if fm == "first" \
-                    else spec.multiply(e, -xi[None, :, :])
-                out[rows[i0:i0 + step]] = _evaluate(moving, arg) @ wk
-        outs.append(out[0] if single else out.reshape(eta.shape[:-1]))
-    return outs[0] if len(outs) == 1 else tuple(outs)
+    fixed, moving = (f, g) if form == "first" else (g, f)
+    w = _evaluate(fixed, grid.points) * grid.weights
+    blocks = [(np.arange(len(etas)), ())] if support is None \
+        or form == "first" else _sub_boxes(spec, etas, grid, support)
+    out = np.zeros(len(etas))
+    for rows, index in blocks:
+        keep = w[index] != 0
+        xi, wk = grid.points[index][keep], w[index][keep]
+        if not len(xi):
+            continue  # every pair of these eta is 0
+        step = max(1, 2 ** 16 // len(xi))  # (eta, xi) pairs per chunk
+        for i0 in range(0, len(rows), step):
+            e = etas[rows[i0:i0 + step], None, :]
+            arg = spec.multiply(-xi[None, :, :], e) if form == "first" \
+                else spec.multiply(e, -xi[None, :, :])
+            out[rows[i0:i0 + step]] = _evaluate(moving, arg) @ wk
+    return out[0] if eta.ndim == 1 else out.reshape(eta.shape[:-1])
 
 
 def check_map(spec: GroupSpec, f):

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, no
 module reaches into another object's private attributes, and each
 numerical idiom (the tensor grid, the finite-difference stencil, the
-kernel field, the support-box pruning) is called from one place only."""
+kernel field, the support-box pruning, the certification sweep) is called
+from one place only."""
 
 import ast
 from pathlib import Path
@@ -122,6 +123,20 @@ def test_zero_pairs_are_pruned_in_the_pair_loop_only():
     # that cuts a grid by coordinate
     assert {module for module, _ in callers("searchsorted")} \
         == {"quadrature.py"}
+
+
+def test_kernel_certificate_builds_one_pair_of_sweeps():
+    # every estimate of the table is measured on the same two sweeps
+    source = (SRC / "kernels.py").read_text(encoding="utf-8")
+    assert [scope for _, scope in calls_of(source, "_sweep_points")] \
+        == ["certify_RGamma"]
+
+
+def test_certified_words_come_from_words_upto_weight():
+    # kernels.py and distributions.py take the words of weight <= 2 from
+    # calculus.words_upto_weight, not from a filtered multi_indices_upto
+    assert {module for module, _ in callers("multi_indices_upto")} \
+        == {"calculus.py"}
 
 
 def test_kernels_build_one_field():

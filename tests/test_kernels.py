@@ -201,6 +201,37 @@ class TestCertify:
                              n_dirs=16, n_radii=25)
         assert rep["passed"], rep
 
+    def test_heisenberg_estimate_list(self):
+        # one row set per estimate, in the order the report lists them
+        words = ["(1, 0, 0)", "(0, 1, 0)", "(0, 0, 1)", "(2, 0, 0)",
+                 "(1, 1, 0)", "(0, 2, 0)"]
+        rep = certify_RGamma(heis_kernel(), n_dirs=4, n_radii=8)
+        assert list(rep["estimates"]) == (
+            ["comparability_upper", "comparability_lower"]
+            + [f"derivative_X_{w}" for w in words]
+            + ["scale_derivative_1", "scale_derivative_2"]
+            + [f"dilated_derivative_X_{w}" for w in words]
+            + [f"derivative_Yt_{w}" for w in words])
+
+    @pytest.mark.parametrize("kernel,exponent,unstable", [
+        (classical, sympy.Rational(-1, 2), "comparability_upper"),
+        (classical, sympy.Rational(-3, 2), "comparability_lower"),
+        (heis_kernel, sympy.Integer(-1), "comparability_upper"),
+        (heis_kernel, sympy.Rational(-3, 2), "comparability_lower")],
+        ids=["R1-slow", "R1-fast", "heisenberg-slow", "heisenberg-fast"])
+    def test_wrong_profile_exponent_fails(self, kernel, exponent, unstable):
+        # a profile decaying slower (faster) than omega_{-Q-Gamma} breaks
+        # the upper (lower) comparability first, the estimate that
+        # `kernel certify` names
+        P = kernel()
+        u = sympy.Symbol("u")
+        P.field = SmoothField(P.field.base, Profile(
+            P.c * (1 + u) ** exponent, name="perturbed"))
+        rep = certify_RGamma(P)
+        assert not rep["passed"]
+        assert next(name for name, est in rep["estimates"].items()
+                    if not est["stable"]) == unstable
+
 
 class TestHarmonicity:
     def test_r1_at_origin(self):
