@@ -79,20 +79,28 @@ class InvariantField:
     def apply_fd(self, f):
         """Wrap a callable on (..., n) arrays into its derivative under the
         field, via 4th-order central differences with step
-        h = 1e-3 (1 + euclidean |eta|)."""
+        h = 1e-3 (1 + euclidean |eta|).
+
+        f is called once per evaluation, on the stencil points of all K
+        nonzero coefficients together: an array of shape
+        (K, 4, ...eta.shape[:-1], n), so it must accept (..., n) arrays.
+        Nested words thus call their innermost operand once."""
         coeffs = [(k, p) for k, p in enumerate(self.coeffs) if not p.is_zero()]
-        n = self.spec.n
+        units = np.eye(self.spec.n)[[k for k, _ in coeffs]]
+        offsets = (2, 1, -1, -2)
 
         def out(eta):
             eta = np.asarray(eta, dtype=float)
             h = 1e-3 * (1.0 + np.sqrt(np.sum(eta ** 2, axis=-1)))
+            batch = (1,) * (eta.ndim - 1)
+            steps = h[..., None] * units.reshape((-1,) + batch
+                                                 + (self.spec.n,))
+            ms = np.reshape(offsets, (1, 4) + batch + (1,))
+            vals = f(eta + ms * steps[:, None])
+            d = central_difference(lambda m: vals[:, offsets.index(m)], h, 1)
             total = np.zeros(eta.shape[:-1])
-            for k, p in coeffs:
-                e = np.zeros(n)
-                e[k] = 1.0
-                step = h[..., None] * e
-                d = central_difference(lambda m: f(eta + m * step), h, 1)
-                total = total + p.eval(eta) * d
+            for (_, p), d_k in zip(coeffs, d):
+                total = total + p.eval(eta) * d_k
             if not np.all(np.isfinite(total)):
                 raise ValueError("non-finite values in derivative stencil")
             return total

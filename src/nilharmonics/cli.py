@@ -95,7 +95,9 @@ def _quad_irs(cfg, spec):
                             cfg.params["s"],
                             np.geomspace(0.25, cfg.params["eta_max"], 9))
     rows = [{"eta_norm": float(t), "I_rs": val, "majorant": maj,
-             "ratio": ratio} for t, val, maj, ratio in check["rows"]]
+             "ratio": ratio, "converged": converged}
+            for (t, val, maj, ratio), converged
+            in zip(check["rows"], check["converged"])]
     bad = ([] if all(np.isfinite(row["ratio"]) for row in rows)
            else ["finite-ratio"]) + ([] if check["bounded"] else ["bounded"])
     return rows, {"rows": rows, "bounded": check["bounded"]}, bad

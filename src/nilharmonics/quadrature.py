@@ -280,19 +280,16 @@ def _irs_piece(norm, r, s, eta, radius, count, weight_sign, grading):
     return float(vals @ grid.flat_weights)
 
 
-def I_rs(norm: HomogeneousNorm, r, s, eta, count=25, max_doublings=12):
-    """I_{r,s}(eta) = int (1+|xi|)^r (1+|xi^{-1} eta|)^s dlambda(xi)
-    (plain Lebesgue), by adaptive domain doubling until two successive
-    values agree to a relative 1e-4.
-
-    Raises ValueError in the divergent regime r + s + Q >= 0.
-    """
+def _irs_doublings(norm: HomogeneousNorm, r, s, eta, count,
+                   max_doublings=12):
+    """(I_{r,s}(eta), converged): the domain doubles until two successive
+    values agree to a relative 1e-4 (converged) or max_doublings run out
+    (the last value, not converged)."""
     spec = norm.spec
     if r + s + float(spec.Q) >= 0:
         raise ValueError("integral diverges unless r + s + Q < 0")
     eta = np.asarray(eta, dtype=float)
-    base = 4.0 + 2.0 * float(norm(eta))
-    radius = base
+    radius = 4.0 + 2.0 * float(norm(eta))
     prev = None
     for _ in range(max_doublings):
         g = _grading_for(radius, spec.weights, count,
@@ -300,10 +297,20 @@ def I_rs(norm: HomogeneousNorm, r, s, eta, count=25, max_doublings=12):
         total = (_irs_piece(norm, r, s, eta, radius, count, +1, g)
                  + _irs_piece(norm, r, s, eta, radius, count, -1, g))
         if prev is not None and abs(total - prev) <= 1e-4 * abs(total):
-            return total
+            return total, True
         prev = total
         radius *= 2.0
-    return prev
+    return prev, False
+
+
+def I_rs(norm: HomogeneousNorm, r, s, eta, count=25, max_doublings=12):
+    """I_{r,s}(eta) = int (1+|xi|)^r (1+|xi^{-1} eta|)^s dlambda(xi)
+    (plain Lebesgue), by adaptive domain doubling until two successive
+    values agree to a relative 1e-4; after max_doublings the last value.
+
+    Raises ValueError in the divergent regime r + s + Q >= 0.
+    """
+    return _irs_doublings(norm, r, s, eta, count, max_doublings)[0]
 
 
 def irs_majorant(norm: HomogeneousNorm, r, s, eta_norm):
@@ -325,7 +332,9 @@ def irs_bound_check(norm: HomogeneousNorm, r, s, eta_values, count=25):
     eta_values: array of gauge radii; the sweep walks eta = delta_t e_1.
     'bounded' is acceptance 05's rule: the sup ratio grows by less than 5%
     when a point at twice the largest radius joins the sweep.  A sweep that
-    ends too early for that gets up to two more doublings.
+    ends too early for that gets up to two more doublings.  'converged'
+    says, per row, whether I_{r,s} met its stop rule; it does not enter
+    the verdict.
     """
     spec = norm.spec
     e1 = np.eye(spec.n)[0]
@@ -333,16 +342,16 @@ def irs_bound_check(norm: HomogeneousNorm, r, s, eta_values, count=25):
 
     def ratio_row(t):
         eta = spec.dilate(t, e1) if t > 0 else np.zeros(spec.n)
-        val = I_rs(norm, r, s, eta, count=count)
+        val, converged = _irs_doublings(norm, r, s, eta, count)
         maj = float(irs_majorant(norm, r, s, t))
-        return t, val, maj, val / maj
+        return (t, val, maj, val / maj), converged
 
     ts = np.asarray(eta_values, dtype=float)
-    rows = [ratio_row(t) for t in ts]
+    rows, converged = zip(*(ratio_row(t) for t in ts))
     sup_ratio = grown = max(row[3] for row in rows)
     for t in 2.0 ** np.arange(1, 4) * ts.max():
-        sup, grown = grown, max(ratio_row(t)[3], grown)  # nan: not bounded
+        sup, grown = grown, max(ratio_row(t)[0][3], grown)  # nan: not bounded
         if grown < 1.05 * sup:
             break
-    return {"rows": rows, "sup_ratio": sup_ratio,
-            "bounded": bool(grown < 1.05 * sup)}
+    return {"rows": list(rows), "converged": list(converged),
+            "sup_ratio": sup_ratio, "bounded": bool(grown < 1.05 * sup)}

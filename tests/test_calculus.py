@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 from numpy.testing import assert_allclose
 
+from nilharmonics import calculus
 from nilharmonics.calculus import (
     OperatorWord, build_conversion, build_field, central_difference,
     conversion_residual, convolution_identity_residuals, euclidean_expansion,
@@ -15,7 +16,7 @@ from nilharmonics.polynomials import (
     Polynomial, SmoothField, bump_profile, gaussian_profile,
     poly_bump_profile,
 )
-from nilharmonics.quadrature import Grid
+from nilharmonics.quadrature import Grid, convolve
 
 
 def mono(n, exps):
@@ -108,6 +109,22 @@ class TestWords:
         exact = w.apply_symbolic(f).eval(pts)
         fd = w.as_callable(lambda p: f.eval(p))(pts)
         assert_allclose(fd, exact, atol=2e-6 * (1 + np.abs(exact).max()))
+
+    @pytest.mark.parametrize("kind", ["X", "Xt", "Y", "Yt"])
+    def test_nested_stencil_calls_its_operand_once(self, kind):
+        # X1 and Y1 have two nonzero coefficients on the Heisenberg group:
+        # every stencil point of the length-2 word comes in one call
+        shapes = []
+
+        def f(p):
+            shapes.append(p.shape)
+            return np.cos(p[..., 0]) * p[..., 2]
+
+        word = OperatorWord(heisenberg(), kind, (1, 1, 0))
+        word.as_callable(f)(np.zeros((5, 3)))
+        assert shapes == [(2, 4, 2, 4, 5, 3)]
+        word.as_callable(f)(np.zeros(3))
+        assert shapes[1:] == [(2, 4, 2, 4, 3)]
 
     @pytest.mark.parametrize("kind", ["X", "Xt", "Y", "Yt"])
     def test_as_callable_is_exact_on_smooth_fields(self, kind):
@@ -326,6 +343,25 @@ class TestIntegralIdentities:
         res = convolution_identity_residuals(G, (1,), f, g, grid,
                                              [[0.4], [-0.8]])
         assert max(res.values()) < 1e-6
+
+    def test_convolution_identities_convolve_once_per_side(self,
+                                                           monkeypatch):
+        # each side of each identity is one convolve call, over every
+        # stencil point of a finite-difference word at once
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[3]))
+            return convolve(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "convolve", spy)
+        res = convolution_identity_residuals(
+            heisenberg(), (2, 0, 0), heis_bump((0.1, 0.0, 0.0), 1.5),
+            heis_bump((0.0, -0.1, 0.1), 1.5), Grid([0.0] * 3, 2.1, 13),
+            [[0.2, 0.1, -0.1]])
+        assert len(calls) == 8
+        assert sorted(calls)[-1] == (2, 4, 2, 4, 1, 3)
+        assert all(np.isfinite(v) for v in res.values())
 
     def test_convolution_identities_heisenberg(self):
         G = heisenberg()

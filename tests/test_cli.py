@@ -253,6 +253,25 @@ def test_quad_irs_table(tmp_path):
     assert rows[0]["eta_norm"] == pytest.approx(0.25)
 
 
+def test_quad_irs_reports_an_unmet_stop_rule(tmp_path):
+    # r + s + Q = -0.1: the tail decays too slowly for two doublings to
+    # agree within the budget (I_rs(0) is 11.88 against the exact 20)
+    out = str(tmp_path / "irs.json")
+    main(["quad", "irs", "--spec", "abelian_R1", "--r", "-0.5",
+          "--s", "-0.6", "--eta-max", "4", "--out", out])
+    rows = parse_table(out)
+    assert len(rows) == 9
+    assert any(row["converged"] is False for row in rows)
+    summary = read_json(out + ".summary.json")
+    assert [row["converged"] for row in summary["summary"]["rows"]] == \
+        [row["converged"] for row in rows]
+    # the flag is per row: this sweep meets the rule at eta = 2^{-3/2}
+    main(["quad", "irs", "--spec", "abelian_R1", "--r", "-3", "--s", "-3",
+          "--eta-max", "4", "--out", out])
+    assert [row["converged"] for row in parse_table(out)][:2] == \
+        [False, True]
+
+
 def test_quad_irs_fails_without_the_log(tmp_path, capsys):
     # r = -Q exactly takes the log majorant; 1e-9 above it does not, and
     # the ratio keeps growing past eta_max

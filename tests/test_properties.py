@@ -1,7 +1,7 @@
 """Property tests on random step-2 groups: the group law and its
 coordinate-major layout, the dilations, the check map, the exact operator
-words, the exact scale derivatives of the model kernel, the gauge box, and the
-pruned convolution."""
+words and the batched finite-difference stencil, the exact scale derivatives
+of the model kernel, the gauge box, and the pruned convolution."""
 
 import numpy as np
 import pytest
@@ -133,6 +133,51 @@ def test_symbolic_words_equal_finite_difference_words(spec, seed, data):
         # rounding of the nested differences over h^|alpha|
         assert_allclose(fd, exact, atol=1e-7 * max(1.0, np.max(
             np.abs(exact))))
+
+
+def per_offset_word(word, f):
+    """The word by nested differences with one call of the operand per
+    nonzero coefficient k and offset m, at eta + m (h e_k): the reference
+    for the stencil that calls it once."""
+    for field in reversed(word.fields):
+        f = per_offset_field(field, f)
+    return f
+
+
+def per_offset_field(field, f):
+    def out(eta):
+        h = 1e-3 * (1.0 + np.sqrt(np.sum(eta ** 2, axis=-1)))
+        total = np.zeros(eta.shape[:-1])
+        for k, p in enumerate(field.coeffs):
+            if not p.is_zero():
+                step = h[..., None] * np.eye(field.spec.n)[k]
+                d = central_difference(lambda m: f(eta + m * step), h, 1)
+                total = total + p.eval(eta) * d
+        return total
+    return out
+
+
+@PROPERTY
+@given(st.one_of(step2_specs(), st.just(heisenberg())),
+       st.integers(0, 2 ** 16), st.data())
+def test_batched_stencil_equals_the_per_offset_calls(spec, seed, data):
+    n = spec.n
+    kind = data.draw(st.sampled_from(["X", "Xt", "Y", "Yt"]))
+    word = OperatorWord(spec, kind, data.draw(
+        st.sampled_from(multi_indices_upto(n, 2))))
+    c = np.random.default_rng(seed).normal(size=n)
+
+    def f(p):  # pointwise: no reduction whose order could follow the shape
+        lin = sum(c[k] * p[..., k] for k in range(n))
+        return np.sin(lin) * np.exp(-0.1 * lin * lin) + p[..., -1] ** 3
+
+    shape = data.draw(st.one_of(
+        st.just(()), st.tuples(st.integers(1, 5)),
+        st.tuples(st.integers(1, 3), st.integers(1, 3))))
+    eta = points(spec, seed, count=int(np.prod(shape)), scale=1.0)
+    eta = eta.reshape(shape + (n,))
+    assert_array_equal(word.as_callable(f)(eta),
+                       per_offset_word(word, f)(eta))
 
 
 @PROPERTY
