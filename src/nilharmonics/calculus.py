@@ -244,21 +244,13 @@ class ConversionTable:
             out = term if out is None else out + term
         return out
 
-    def homogeneity_report(self):
-        d_alpha = self.spec.mdeg(self.alpha)
-        ok = True
-        for beta, q in self.table.items():
-            want = self.spec.mdeg(beta) - d_alpha
-            ok = ok and q.is_homogeneous(self.spec.weights, want)
-        return ok
 
-
-def build_conversion(spec: GroupSpec, alpha, max_order=3):
-    """The conversion table of tilde-Y^alpha, shared by every spec equal to
-    this one."""
+def build_conversion(spec: GroupSpec, alpha):
+    """The conversion table of tilde-Y^alpha, |alpha| <= 3, shared by every
+    spec equal to this one."""
     alpha = tuple(int(a) for a in alpha)
-    if sum(alpha) > max_order:
-        raise ValueError("multi-index order exceeds configured maximum")
+    if sum(alpha) > 3:
+        raise ValueError("conversion tables are built for |alpha| <= 3")
     return _conversion_table(spec, alpha)
 
 
@@ -267,7 +259,9 @@ def _conversion_table(spec, alpha):
     """Triangular elimination of the Euclidean expansion of tilde-Y^alpha
     against the expansions of the X^beta, in the order (weight ascending,
     length descending): subtracting q_gamma X^gamma only reintroduces terms
-    strictly later in that order, so the sweep terminates."""
+    strictly later in that order, so the sweep terminates.  Every table is
+    checked against the class docstring: beta in I_alpha, Q[beta]
+    homogeneous of degree d(beta) - d(alpha)."""
     remainder = euclidean_expansion(OperatorWord(spec, "Yt", alpha))
     table = {}
     guard = 0
@@ -287,9 +281,11 @@ def _conversion_table(spec, alpha):
         if guard > 10000:
             raise RuntimeError("basis rewriting failed to terminate")
     d_alpha, l_alpha = spec.mdeg(alpha), sum(alpha)
-    for beta in table:
+    for beta, q in table.items():
         if sum(beta) > l_alpha or spec.mdeg(beta) < d_alpha:
             raise RuntimeError("conversion left the expected index set")
+        if not q.is_homogeneous(spec.weights, spec.mdeg(beta) - d_alpha):
+            raise RuntimeError("conversion coefficient is not homogeneous")
     return ConversionTable(spec, alpha, table)
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from .calculus import conversion_residual
 from .distributions import TestFunction, boundary_convergence
 from .group_core import HomogeneousNorm
-from .io import InputError, density_from_json, emit_table, load_group, \
-    load_distribution, load_measure, metadata, write_json
+from .io import DENSITY_SIZE, InputError, density_from_json, emit_table, \
+    load_group, load_distribution, load_measure, metadata, write_json
 from .kernels import KernelSpec, certify_RGamma
 from .quadrature import Grid, irs_bound_check
 from .weak_l1 import AtomicMeasure, build_covering, verify_covering
@@ -118,9 +118,9 @@ def _extend_run(cfg, spec):
     Gamma = cfg.params["gamma"]
     kernel = KernelSpec(spec, norm, cfg.params["kernel"], Gamma=Gamma)
     T = load_distribution(cfg.inputs["dist"], spec, norm, Gamma)
+    kind = cfg.params["phi"]
     phi = TestFunction(spec, density_from_json(
-        spec.n, {"kind": cfg.params["phi"], "params": {"radius": 2.0}}),
-        "Bdot")
+        spec.n, {"kind": kind, "params": {DENSITY_SIZE[kind]: 2.0}}), "Bdot")
     radius = 4.0
     count = cfg.params["resolution"]
     if spec.n == 1:
@@ -211,7 +211,8 @@ _COMMANDS = {
         ("--out", _REQ)]),
     "extend run": (_extend_run, True, [
         ("--spec", _REQ), ("--kernel", _REQ), ("--gamma", _FLOAT),
-        ("--dist", _REQ), ("--phi", {"default": "poly_bump"}),
+        ("--dist", _REQ),
+        ("--phi", {"default": "poly_bump", "choices": sorted(DENSITY_SIZE)}),
         ("--a-list", {"type": _csv_floats, **_REQ}),
         ("--method", {"default": "direct"}),
         ("--resolution", {"type": int, "default": 21}), ("--out", _REQ)]),

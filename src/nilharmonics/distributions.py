@@ -17,11 +17,11 @@ from __future__ import annotations
 import numpy as np
 import sympy
 
-from .calculus import OperatorWord, build_field, leibniz_tilde_coeff, \
+from .calculus import OperatorWord, leibniz_tilde_coeff, \
     sub_multi_indices, words_upto_weight
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .kernels import KernelSpec, _sweep_points, dilated_field
-from .polynomials import Polynomial, Profile, SmoothField
+from .polynomials import Profile, SmoothField
 from .quadrature import Grid, _evaluate, _grading_for, convolve
 
 
@@ -90,7 +90,7 @@ class DistributionRep:
     """T = omega_mu * sum X^alpha f_alpha with sampled densities f_alpha."""
 
     def __init__(self, spec: GroupSpec, norm: HomogeneousNorm, Gamma,
-                 terms, mu=None, compact_support=False):
+                 terms, mu=None):
         self.spec, self.norm = spec, norm
         self.Gamma = float(Gamma)
         self.mu = float(spec.Q) + self.Gamma if mu is None else float(mu)
@@ -99,19 +99,7 @@ class DistributionRep:
         for alpha, _ in self.terms:
             if sum(alpha) > 3:
                 raise ValueError("density derivative order capped at 3")
-        self.compact_support = compact_support
         self._weight = weight_field(norm, self.mu)
-
-    def weight(self):
-        return self._weight
-
-    def density_l1_norms(self, grid: Grid):
-        """||f_alpha||_1 per term — finiteness is the membership invariant."""
-        out = {}
-        for alpha, f in self.terms:
-            vals = np.abs(_evaluate(f, grid.points))
-            out[alpha] = float(np.sum(vals * grid.weights))
-        return out
 
     def leibniz_terms(self):
         """The Leibniz expansion of the weight against each term: yields
@@ -200,11 +188,9 @@ def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
 
 def _pa_check(T: DistributionRep, kernel: KernelSpec, a):
     """P_a-check for an extension of T, refusing a kernel with another
-    Gamma and a non-positive scale."""
+    Gamma (dilated_field refuses a non-positive scale)."""
     if abs(T.Gamma - kernel.Gamma) > 1e-12:
         raise ValueError("distribution and kernel carry different Gamma")
-    if a <= 0:
-        raise ValueError("scale parameter must be positive")
     return dilated_field(kernel, a).negate_coords()
 
 
@@ -229,20 +215,6 @@ def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
                 count, grading=_grading_for(span / a, spec.weights, count,
                                             center_spacing=6.0 / count))
     return _convolve_terms(T, pa_check, eta, grid, form="second")
-
-
-def regularize(T: DistributionRep, phi_field: SmoothField, eta, grid: Grid,
-               l1_grid: Grid = None):
-    """T * phi for compactly supported smooth phi (given as a SmoothField);
-    returns the sampled values at eta and, when l1_grid is supplied, the
-    L^1 norm of the regularization over that grid."""
-    vals = _convolve_terms(T, phi_field.negate_coords(), eta, grid)
-    if l1_grid is None:
-        return vals, None
-    dense = _convolve_terms(T, phi_field.negate_coords(), l1_grid.points,
-                            grid)
-    l1 = float(np.sum(np.abs(dense) * l1_grid.weights))
-    return vals, l1
 
 
 def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, radius=50.0,
@@ -340,28 +312,3 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
         if keep.sum() >= 2 else float("nan")
     return {"rows": rows, "slope": slope,
             "monotone": bool(np.all(np.diff(errs[np.argsort(a_arr)]) >= 0))}
-
-
-def derivative_commute_residual(S: DistributionRep, kernel: KernelSpec, j,
-                                a, pts, grid: Grid):
-    """sup over pts of |Y_j(S * P_a) - (Y_j S) * P_a| for compactly
-    supported S; Y_j S is realized by applying the right-invariant field
-    directly to the (smooth, compact) densities."""
-    if not S.compact_support:
-        raise ValueError("the commuting identity is certified only for "
-                         "compactly supported representations")
-    if any(sum(alpha) > 0 for alpha, _ in S.terms) or S.mu != 0:
-        raise ValueError("compact-support path expects plain function terms")
-    pts = np.asarray(pts, dtype=float)
-    u = lambda p: poisson_extend(S, kernel, a, p, grid)
-    lhs = build_field(S.spec, "right", j).apply_fd(u)(pts)
-    dterms = []
-    for alpha, f in S.terms:
-        if not isinstance(f, (Polynomial, SmoothField)):
-            raise ValueError("densities must be symbolic for the exact path")
-        dterms.append((alpha,
-                       build_field(S.spec, "right", j).apply_symbolic(f)))
-    dS = DistributionRep(S.spec, S.norm, S.Gamma, dterms, mu=S.mu,
-                         compact_support=True)
-    rhs = poisson_extend(dS, kernel, a, pts, grid)
-    return float(np.max(np.abs(lhs - rhs)))

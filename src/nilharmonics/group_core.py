@@ -132,18 +132,6 @@ class GroupSpec:
     def identity(self):
         return np.zeros(self.n)
 
-    def multiply_symbolic(self, k):
-        """Coordinate k of the product as a polynomial in 2n variables
-        (first n: eta, last n: xi)."""
-        n2 = 2 * self.n
-        law = Polynomial.coordinate(n2, k) + Polynomial.coordinate(n2, self.n + k)
-        for (kk, alpha, beta), c in self.structure:
-            if kk != k:
-                continue
-            exps = tuple(alpha) + tuple(beta)
-            law = law + Polynomial(n2, {exps: c})
-        return law
-
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
@@ -254,11 +242,12 @@ class HomogeneousNorm:
     def __call__(self, eta):
         return self._N.eval(eta) ** (1.0 / (2 * self.M))
 
-    def measured_gamma(self, n_samples=10 ** 5, seed=0):
-        """sup |eta xi| / (|eta| + |xi|) over random pairs in [-10, 10]^n."""
-        rng = np.random.default_rng(seed)
-        eta = rng.uniform(-10.0, 10.0, size=(n_samples, self.n))
-        xi = rng.uniform(-10.0, 10.0, size=(n_samples, self.n))
+    def measured_gamma(self):
+        """sup |eta xi| / (|eta| + |xi|) over 10^5 random pairs in
+        [-10, 10]^n (seed 0)."""
+        rng = np.random.default_rng(0)
+        eta = rng.uniform(-10.0, 10.0, size=(10 ** 5, self.n))
+        xi = rng.uniform(-10.0, 10.0, size=(10 ** 5, self.n))
         num = self(self.spec.multiply(eta, xi))
         den = self(eta) + self(xi)
         return float(np.max(num / den))
@@ -277,11 +266,6 @@ class HomogeneousNorm:
         {sum theta_k^{p_k} <= 1} has Dirichlet's volume
         2^n prod Gamma(1 + 1/p_k) / Gamma(1 + Q/2M)."""
         return self._kappa
-
-    def ball_volume(self, r, calibrated=True):
-        """|B(0, r)| = r^Q under the calibrated Haar normalization."""
-        v = float(r) ** float(self.spec.Q)
-        return v if calibrated else v / self.calibration()
 
 
 def peetre_factor(norm: HomogeneousNorm, eta, xi, r):

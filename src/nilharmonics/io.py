@@ -51,23 +51,30 @@ def load_group(ref):
     raise InputError(f"no such file or builtin group: {ref}")
 
 
-_DENSITY_SIZE = {"gaussian": "width", "poly_bump": "radius"}
+# density kind -> the params key of its size
+DENSITY_SIZE = {"gaussian": "width", "poly_bump": "radius"}
 
 
 def density_from_json(n, data):
     """A smooth density from {kind, params}: a gaussian or poly_bump
     profile of sum_k (theta_k - shift_k)^2, divided by radius^2 for
-    poly_bump."""
+    poly_bump.  params takes shift, scale and the kind's size (width or
+    radius), and power for poly_bump; any other key is refused."""
     kind = data.get("kind")
     params = data.get("params", {})
+    if kind not in DENSITY_SIZE:
+        raise InputError(f"unknown density kind {kind!r}")
+    known = {"shift", "scale", DENSITY_SIZE[kind]} \
+        | ({"power"} if kind == "poly_bump" else set())
+    for key in params:
+        if key not in known:
+            raise InputError(f"unknown {kind} density parameter {key!r}")
     shift = np.asarray(params.get("shift", [0.0] * n), dtype=float)
     if len(shift) != n:
         raise InputError(f"density shift needs {n} coordinates")
-    if kind not in _DENSITY_SIZE:
-        raise InputError(f"unknown density kind {kind!r}")
-    size = params.get(_DENSITY_SIZE[kind], 1.0)
+    size = params.get(DENSITY_SIZE[kind], 1.0)
     if not size > 0:
-        raise InputError(f"density {_DENSITY_SIZE[kind]} must be positive")
+        raise InputError(f"density {DENSITY_SIZE[kind]} must be positive")
     base = Polynomial.zero(n)
     for k in range(n):
         e = tuple(int(m == k) for m in range(n))

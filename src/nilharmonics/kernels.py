@@ -31,7 +31,6 @@ import numpy as np
 from .calculus import OperatorWord, build_conversion, words_upto_weight
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .polynomials import Polynomial, Profile, SmoothField
-from .quadrature import approximate_identity
 import sympy
 
 
@@ -76,11 +75,6 @@ class KernelSpec:
                             -(float(self.spec.Q) + self.Gamma + extra))
 
 
-def dilate_kernel(kernel: KernelSpec, a, eta):
-    """P_a(eta) = a^{-Q} P(delta_{1/a} eta): mass-preserving dilation."""
-    return approximate_identity(kernel.spec, kernel, a)(eta)
-
-
 def dilated_field(kernel: KernelSpec, a):
     """P_a as a SmoothField (exact symbolic derivatives in eta)."""
     return scale_derivative(kernel, 0, a)
@@ -94,6 +88,8 @@ def scale_derivative(kernel: KernelSpec, k, a):
     a^{-Q} (E^k P)(delta_{1/a} eta)."""
     if k not in (0, 1, 2):
         raise ValueError("scale derivatives are available for k = 0, 1, 2")
+    if a <= 0:
+        raise ValueError("scale parameter must be positive")
     spec = kernel.spec
     f = kernel.field
     for _ in range(k):

@@ -232,16 +232,10 @@ def gaussian_profile(scale=1.0, width=1.0):
                    name="gaussian")
 
 
-def bump_profile(scale=1.0):
-    """g(u) = scale * e * exp(1/(u-1)) for u < 1, else 0 (value 'scale' at u=0)."""
-    return Profile(lambda u: scale * sympy.exp(1 + 1 / (u - 1)),
-                   support_cap=1.0, name="bump")
-
-
 def poly_bump_profile(scale=1.0, power=6):
     """g(u) = scale * (1-u)^power for u < 1, else 0.  Only C^{power-1} at
     the support edge, but without the steep boundary layer of the smooth
-    bump -- much friendlier to fixed-order quadrature."""
+    bump exp(1/(u-1)) -- much friendlier to fixed-order quadrature."""
     return Profile(lambda u: scale * (1 - u) ** power, support_cap=1.0,
                    name=f"poly_bump({power})")
 

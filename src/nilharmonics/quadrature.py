@@ -84,10 +84,6 @@ class Grid:
         self.flat_points = self.points.reshape(-1, n)
         self.flat_weights = self.weights.reshape(-1)
 
-    @property
-    def n(self):
-        return len(self.centers)
-
 
 def box_grid(spec: GroupSpec, radius, count, rule="simpson", grading=None):
     """Box whose axis k extends radius**d_k, matching the dilation scaling."""
@@ -196,12 +192,14 @@ def approximate_identity(spec: GroupSpec, h, a, mass=1.0):
 
 class SphereQuadrature:
     """Quadrature on the gauge unit sphere, realized as the pushforward of a
-    Cartesian quadrature over a thin shell:  each shell point eta at radius
-    rho = |eta| projects to delta_{1/rho} eta, carrying Lebesgue weight
-    divided by rho^{Q-1} and by the radial extent of the shell."""
+    Cartesian quadrature over the shell 1 <= |eta| <= 1.2:  each shell
+    point eta at radius rho = |eta| projects to delta_{1/rho} eta, carrying
+    Lebesgue weight divided by rho^{Q-1} and by the shell's radial extent
+    0.2."""
 
-    def __init__(self, norm: HomogeneousNorm, resolution=81, thickness=0.2):
+    def __init__(self, norm: HomogeneousNorm, resolution=81):
         spec = norm.spec
+        thickness = 0.2
         outer = 1.0 + thickness
         grid = box_grid(spec, outer, resolution, rule="midpoint")
         rho = norm(grid.flat_points)
@@ -214,16 +212,11 @@ class SphereQuadrature:
                         / rho ** (float(spec.Q) - 1.0) / thickness)
         self.norm = norm
 
-    def surface_measure(self):
-        return float(np.sum(self.weights))
 
-
-def polar_integrate(f, norm: HomogeneousNorm, r_max, n_r=201,
-                    sphere: SphereQuadrature = None, resolution=81):
+def polar_integrate(f, norm: HomogeneousNorm, r_max, n_r=201, resolution=81):
     """int_0^{r_max} int_S f(delta_r xi) r^{Q-1} dsigma(xi) dr under the
     calibrated normalization (so the constant 1 on the unit ball gives 1)."""
-    if sphere is None:
-        sphere = SphereQuadrature(norm, resolution=resolution)
+    sphere = SphereQuadrature(norm, resolution=resolution)
     spec = norm.spec
     r, wr = _axis_nodes(r_max / 2, r_max / 2, n_r, "simpson", None)
     scale = np.stack([r[:, None] ** float(d) for d in spec.weights], axis=-1)

@@ -137,7 +137,12 @@ def superlevel_measure(F, alpha, window: Window, estimator="grid",
     of h heights as an (h, 1) column, and F(eta, a) must broadcast to
     (h, P), row k at height a[k]; an F that ignores a may return (P,).
     The Monte-Carlo estimator passes one height per point, shape (P,).
+    A window from a_lo = 0 needs a_power > -1, where a^{a_power} is
+    integrable at 0.
     """
+    if a_power <= -1 and window.a_lo == 0:
+        raise ValueError("a^a_power is not integrable at a = 0; "
+                         "need a_power > -1 or a_lo > 0")
     n = window.n
     c = np.asarray(window.center, dtype=float)
     hw = np.asarray(window.half_widths, dtype=float)
@@ -147,8 +152,6 @@ def superlevel_measure(F, alpha, window: Window, estimator="grid",
         step = 2 * hw / res
         cell = math.prod(step)
         a_edges = np.linspace(window.a_lo, window.a_hi, na + 1)
-        if a_power < 0 and a_edges[0] == 0.0:
-            a_edges[0] = a_edges[1] / 1e6
         lo, hi, p = a_edges[:-1], a_edges[1:], a_power + 1.0
         # exact integral of a^{a_power} over each height cell
         a_w = np.log(hi / lo) if a_power == -1 else (hi ** p - lo ** p) / p
@@ -209,21 +212,15 @@ def weak_l1_constant(F, alpha_list, window: Window, calibration=1.0,
 
 # -- global bounds for measure Poisson integrals -----------------------------
 
-def _poisson_terms(spec: GroupSpec, mu: AtomicMeasure, kernel: KernelSpec,
-                   a, eta):
-    """w_i a^{-Q} P(delta_{1/a}(xi_i^{-1} eta)), atoms on a new last axis;
-    a is one height or one per point of eta."""
+def measure_poisson(spec: GroupSpec, mu: AtomicMeasure, kernel: KernelSpec,
+                    a, eta):
+    """(mu * P_a)(eta) = sum_i w_i a^{-Q} P(delta_{1/a}(xi_i^{-1} eta)),
+    exact for atoms; a is one height or one per point of eta."""
     eta = np.asarray(eta, dtype=float)[..., None, :]
     a = np.asarray(a, dtype=float)[..., None]
     scale = np.stack([a ** float(d) for d in spec.weights], axis=-1)
     arg = spec.multiply(-mu.xi, eta) / scale
-    return mu.w * kernel(arg) * a ** (-float(spec.Q))
-
-
-def measure_poisson(spec: GroupSpec, mu: AtomicMeasure, kernel: KernelSpec,
-                    a, eta):
-    """(mu * P_a)(eta) = sum_i w_i P_a(xi_i^{-1} eta), exact for atoms."""
-    return np.sum(_poisson_terms(spec, mu, kernel, a, eta), axis=-1)
+    return np.sum(mu.w * kernel(arg) * a ** (-float(spec.Q)), axis=-1)
 
 
 def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
@@ -232,9 +229,8 @@ def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
 
     (a) weak-L1 constant of (1/a)(1+a+|eta|)^{-Q-Gamma} mu * P_a over the
     window; (b) sup of (1+a+|eta|)^{-Q-Gamma} a^{-Gamma} mu * P_a on
-    {a > a0}, re-measured as a0 doubles; plus the near/middle/far split of
-    the convolution at |xi| <= |eta|/2, |eta|/2 <= |xi| <= 2|eta|,
-    |xi| >= 2|eta|.  Refuses kernels without a passed certificate.
+    {a > a0}, re-measured as a0 doubles.  Refuses kernels without a
+    passed certificate.
     """
     if certificate is None:
         certificate = certify_RGamma(kernel)
@@ -266,23 +262,11 @@ def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
                 for a in np.geomspace(lo, max(window.a_hi, 4 * lo), 25))
         sups.append(max(0.0, *(float(np.max(v)) for v in vals)))
 
-    # near / middle / far split of the integrand of mu * P_a: a (points x
-    # atoms) array of terms, summed under one mask per piece
-    sub = pts[:: max(1, len(pts) // 500)]
-    contrib = _poisson_terms(spec, mu, kernel,
-                             np.sqrt(window.a_lo * window.a_hi) or 1.0, sub)
-    xin = norm(mu.xi)
-    ne = norm(sub)[:, None]
-    masks = {"near": xin <= ne / 2,
-             "middle": (xin >= ne / 2) & (xin <= 2 * ne),
-             "far": xin >= 2 * ne}
-    pieces = {k: float(np.max(np.sum(contrib * m, axis=1)))
-              for k, m in masks.items()}
     return {"weak": weak, "a0_values": [a0 * 2 ** m for m in range(3)],
             "sup_infinity": sups,
             "sup_nonincreasing": bool(all(sups[m + 1] <= sups[m] + 1e-12
                                           for m in range(len(sups) - 1))),
-            "pieces": pieces, "certified": True}
+            "certified": True}
 
 
 # -- dyadic covering of {U_nu > alpha} ---------------------------------------
@@ -312,7 +296,6 @@ class CoveringCertificate:
     covering_radius: float
     tail_measure: float
     enumerated: int
-    skipped_scales: list
     counts: dict = field(default_factory=dict)
 
 
@@ -489,7 +472,7 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
     mass = len(nu.w) * np.max(nu.w, initial=0.0)
     gamma_tri = 1.05  # quasi-triangle slack for conservative set distances
     authorized, forb_vol = [], defaultdict(float)
-    skipped, enumerated = [], 0
+    enumerated = 0
     scale_centers = (1.0, np.empty((0, spec.n)))
 
     def forbidden(pieces, pts, pad):
@@ -516,14 +499,12 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
         # largest |eta^{-1} xi| still compatible with U_nu > alpha
         reach = (mass * a_pow / alpha) ** (1.0 / (Q + Gamma))
         if mass * a_pow / a_lo ** (Q + Gamma) <= alpha:
-            skipped.append((i, "empty"))
-            continue
+            continue  # no piece of this scale can exceed alpha
         R_a = reach + 2 * r_i
         earlier = list(authorized)
         free = give(forbidden(earlier, nu.xi,
                               lambda d, rad: gamma_tri * (d + R_a)),
                     earlier, min(R_a, 2 * K0) ** Q * (a_hi - a_lo))
-        skipped += [(i, "forbidden-en-bloc")] * int(np.sum(~free))
         near = [(ai, *_lattice_points_near(spec, norm, s_i, nu.xi[ai], R_a,
                                            K0)) for ai in np.flatnonzero(free)]
         # tensor_grid lists the lattice row-major, so the candidates come
@@ -571,7 +552,6 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
         forbidden_volume=dict(forb_vol), kappa_measured=kappa,
         kappa_design=_design_kappa(spec, norm, c0),
         covering_radius=c0, tail_measure=tail, enumerated=enumerated,
-        skipped_scales=skipped,
         counts={"authorized": len(authorized)})
 
 
@@ -595,16 +575,6 @@ def u_piece(spec, norm, piece, Gamma, eta):
     per_a = np.sum(w_eta * a ** (Gamma - 1.0) / (a + d) ** (Q + Gamma),
                    axis=-1)
     return np.sum(per_a * da, axis=-1)
-
-
-def U_i_profile(cert: CoveringCertificate, spec, norm, eta):
-    """U_i(eta) for each scale i = 0..depth (integral over the authorized
-    pieces of that scale)."""
-    Gamma = cert.Gamma
-    out = np.zeros(cert.depth + 1)
-    for p in cert.authorized:
-        out[p.i] += u_piece(spec, norm, p, Gamma, eta)[0]
-    return out
 
 
 def verify_covering(cert: CoveringCertificate, spec, norm,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 from fractions import Fraction
 from numpy.testing import assert_allclose
 
@@ -13,8 +14,7 @@ from nilharmonics.calculus import (
 from nilharmonics.group_core import GroupSpec, abelian, heisenberg, \
     random_step2
 from nilharmonics.polynomials import (
-    Polynomial, SmoothField, bump_profile, gaussian_profile,
-    poly_bump_profile,
+    Polynomial, Profile, SmoothField, gaussian_profile, poly_bump_profile,
 )
 from nilharmonics.quadrature import Grid, convolve
 
@@ -37,7 +37,8 @@ def heis_bump(shift=(0.0, 0.0, 0.0), radius=2.0, profile=None):
         n, Fraction(sum(s * s for s in shift)).limit_denominator(10 ** 6))
     scaled = Polynomial(n, {e: c / Fraction(radius) ** 2
                             for e, c in base.coeffs.items()})
-    return SmoothField(scaled, profile or bump_profile(1.0))
+    return SmoothField(scaled, profile or Profile(
+        lambda u: sympy.exp(1 + 1 / (u - 1)), support_cap=1.0, name="bump"))
 
 
 class TestFields:
@@ -218,10 +219,11 @@ class TestConversion:
         G = heisenberg()
         for alpha in [(1, 0, 0), (1, 1, 0), (2, 1, 0)]:
             ct = build_conversion(G, alpha)
-            assert ct.homogeneity_report()
-            for beta in ct.table:
+            for beta, q in ct.table.items():
                 assert sum(beta) <= sum(alpha)
                 assert G.mdeg(beta) >= G.mdeg(alpha)
+                assert q.is_homogeneous(G.weights,
+                                        G.mdeg(beta) - G.mdeg(alpha))
 
     def test_smooth_operand(self):
         G = heisenberg()
@@ -237,10 +239,11 @@ class TestConversion:
             build_conversion(heisenberg(), (2, 2, 0))
 
     def test_max_order_guard_after_cached_call(self):
+        # a table of order 4 in the cache is still refused
         G = heisenberg()
-        build_conversion(G, (1, 1, 0))
+        calculus._conversion_table(G, (2, 2, 0))
         with pytest.raises(ValueError):
-            build_conversion(G, (1, 1, 0), max_order=1)
+            build_conversion(G, (2, 2, 0))
 
 
 class TestCaches:

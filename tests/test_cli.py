@@ -136,13 +136,17 @@ _MALFORMED_DISTS = {
 }
 
 
-@pytest.mark.parametrize("case", [*_MALFORMED_DISTS, "a-list", "alpha"])
+@pytest.mark.parametrize("case", [*_MALFORMED_DISTS, "a-list", "alpha",
+                                  "phi"])
 def test_malformed_input_is_input_error(tmp_path, dist_file, capsys, case):
     extend = ["extend", "run", "--spec", "abelian_R1",
               "--kernel", "classical_abelian", "--gamma", "1",
               "--resolution", "12", "--out", str(tmp_path / "ext.csv")]
     if case == "a-list":
         argv = extend + ["--dist", dist_file, "--a-list", "1,x"]
+    elif case == "phi":
+        argv = extend + ["--dist", dist_file, "--a-list", "1,0.5",
+                         "--phi", "box"]
     elif case == "alpha":
         argv = ["calculus", "identities", "--spec", "abelian_R2",
                 "--alpha", "1,a", "--report", str(tmp_path / "r.json")]
@@ -313,6 +317,34 @@ def test_extend_run_converges(tmp_path, dist_file):
     errs = [r["error"] for r in rows]
     assert errs[-1] < errs[0]
     assert all(np.isfinite(r["value"]) for r in rows)
+
+
+def test_extend_run_gaussian_phi_has_width_2(tmp_path, dist_file):
+    # the limit <T, phi> = int exp(-x^2/2) exp(-x^2/8) dx = sqrt(8 pi / 5)
+    # holds for phi of width 2, the size extend run gives every kind
+    out = str(tmp_path / "ext.csv")
+    status = main(["extend", "run", "--spec", "abelian_R1",
+                   "--kernel", "classical_abelian", "--gamma", "1",
+                   "--dist", dist_file, "--phi", "gaussian",
+                   "--a-list", "1,0.5,0.25", "--resolution", "12",
+                   "--out", out])
+    assert status == 0
+    limits = {r["limit"] for r in parse_table(out)}
+    assert len(limits) == 1
+    assert abs(limits.pop() / np.sqrt(8 * np.pi / 5) - 1) < 1e-6
+
+
+def test_unknown_density_parameter_is_named(tmp_path, capsys):
+    # a misspelt or foreign key would otherwise load with its default
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"terms": [{"alpha": [0, 0, 0], "density": {
+        "kind": "gaussian", "params": {"center": [1, 0, 0]}}}]}))
+    status = main(["extend", "run", "--spec", "heisenberg",
+                   "--kernel", "model_power", "--gamma", "1",
+                   "--dist", str(path), "--a-list", "1,0.5",
+                   "--out", str(tmp_path / "ext.csv")])
+    assert status == 1
+    assert "'center'" in capsys.readouterr().err
 
 
 def test_extend_run_wrong_kernel_mass_fails(tmp_path, dist_file,

@@ -9,15 +9,14 @@ from numpy.testing import assert_allclose
 from nilharmonics.calculus import OperatorWord, central_difference
 from nilharmonics.distributions import (
     DistributionRep, TestFunction, boundary_convergence,
-    derivative_commute_residual, extension_weighted_norm, flat_top_profile,
-    pair, pair_unweighted, poisson_extend, regularize,
-    sconvolvability_witness, sub_multi_indices, weight_field,
-    _convolve_terms)
+    extension_weighted_norm, flat_top_profile, pair, pair_unweighted,
+    poisson_extend, sconvolvability_witness, sub_multi_indices,
+    weight_field, _convolve_terms)
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
 from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
 from nilharmonics.polynomials import (Polynomial, SmoothField,
                                       gaussian_profile, poly_bump_profile)
-from nilharmonics.quadrature import Grid, check_map, convolve
+from nilharmonics.quadrature import Grid, check_map, convolve, haar_integrate
 
 
 LINE = abelian(1)
@@ -113,8 +112,9 @@ def test_order_cap_enforced():
 def test_density_l1_norm_gaussian():
     # int exp(-x^2/2) = sqrt(2 pi)
     T = DistributionRep(LINE, LNORM, 1.0, [((0,), line_gaussian())])
-    norms = T.density_l1_norms(Grid([0.0], [12.0], [401]))
-    assert_allclose(norms[(0,)], np.sqrt(2 * np.pi), rtol=1e-10)
+    (alpha, f), = T.terms
+    norm = haar_integrate(lambda p: np.abs(f(p)), Grid([0.0], [12.0], [401]))
+    assert_allclose(norm, np.sqrt(2 * np.pi), rtol=1e-10)
 
 
 def test_normal_form_mu_zero_is_trivial():
@@ -207,8 +207,7 @@ def test_poisson_extend_gaussian_line():
     """Plain gaussian density against direct adaptive quadrature of the
     Poisson integral."""
     g = line_gaussian()
-    T = DistributionRep(LINE, LNORM, 1.0, [((0,), g)], mu=0.0,
-                        compact_support=True)
+    T = DistributionRep(LINE, LNORM, 1.0, [((0,), g)], mu=0.0)
     ker = KernelSpec(LINE, LNORM, "classical_abelian")
     eta = np.array([[0.0], [0.7], [-2.0]])
     got = poisson_extend(T, ker, 0.5, eta,
@@ -280,26 +279,6 @@ def test_gamma_mismatch_and_bad_scale_rejected():
     T1 = DistributionRep(LINE, LNORM, 1.0, [((0,), line_gaussian())])
     with pytest.raises(ValueError):
         poisson_extend(T1, ker, -1.0, np.zeros((1, 1)), Grid([0.], [5.], [51]))
-
-
-def test_regularize_compact_bump():
-    # T * phi for compact phi reproduces the quadrature convolution of
-    # the densities, and reports a finite L^1 size
-    g = line_gaussian()
-    T = DistributionRep(LINE, LNORM, 1.0, [((0,), g)], mu=0.0,
-                        compact_support=True)
-    phi = SmoothField(Polynomial(1, {(2,): 1.0}), poly_bump_profile(1.0, 6))
-    grid = Grid([0.0], [14.0], [801])
-    eta = np.linspace(-2, 2, 5)[:, None]
-    got, l1 = regularize(T, phi, eta, grid,
-                         l1_grid=Grid([0.0], [16.0], [401]))
-    ref = convolve(LINE, lambda p: g.eval(p),
-                   lambda p: phi.eval(p), eta, grid)
-    assert_allclose(got, ref, rtol=1e-10)
-    assert np.isfinite(l1) and l1 > 0
-
-
-# ------------------------------------------------- two-path identities
 
 
 def test_pairing_through_extension_two_paths_line():
@@ -546,34 +525,6 @@ def test_boundary_convergence_heisenberg_monotone():
     assert errs[-1] < 0.25 * errs[0]
 
 
-def test_derivative_commute_line():
-    S = DistributionRep(LINE, LNORM, 1.0, [((0,), line_gaussian())],
-                        mu=0.0, compact_support=True)
-    ker = KernelSpec(LINE, LNORM, "classical_abelian")
-    pts = np.linspace(-1.5, 1.5, 7)[:, None]
-    res = derivative_commute_residual(
-        S, ker, 0, 0.5, pts, Grid([0.0], [300.0], [2001], grading=8.0))
-    assert res < 1e-5
-
-
-def test_derivative_commute_heisenberg():
-    S = DistributionRep(HEIS, HNORM, 1.0, [((0, 0, 0), heis_bump(1.5))],
-                        mu=0.0, compact_support=True)
-    ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
-    pts = np.array([[0.0, 0.0, 0.0], [0.4, -0.3, 0.2], [0.8, 0.5, -0.4]])
-    res = derivative_commute_residual(
-        S, ker, 1, 1.0, pts, Grid([0.0] * 3, [1.6] * 3, [31] * 3))
-    assert res < 1e-4
-
-
-def test_derivative_commute_requires_compact_support():
-    S = DistributionRep(LINE, LNORM, 1.0, [((0,), line_gaussian())], mu=0.0)
-    ker = KernelSpec(LINE, LNORM, "classical_abelian")
-    with pytest.raises(ValueError):
-        derivative_commute_residual(S, ker, 0, 0.5, np.zeros((1, 1)),
-                                    Grid([0.0], [5.0], [51]))
-
-
 # -------------------------------------------------- witnesses / norms
 
 
@@ -636,8 +587,8 @@ def test_power_decay_density_family():
     eps = 0.5
     g = weight_field(LNORM, -float(LINE.Q) - eps)
     T = DistributionRep(LINE, LNORM, 1.0, [((0,), g)], mu=0.0)
-    nrm = T.density_l1_norms(Grid([0.0], [2000.0], [2001], grading=10.0))
-    assert np.isfinite(nrm[(0,)])
+    nrm = haar_integrate(g, Grid([0.0], [2000.0], [2001], grading=10.0))
+    assert np.isfinite(nrm)
     ker = KernelSpec(LINE, LNORM, "classical_abelian")
     grid = Grid([0.0], [2000.0], [3001], grading=10.0)
     for a in (0.5, 1.0, 2.0):

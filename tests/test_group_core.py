@@ -12,6 +12,7 @@ from nilharmonics.group_core import (
     random_step2, weight_field,
 )
 from nilharmonics.io import load_group
+from nilharmonics.quadrature import Grid, haar_integrate
 
 
 def heis_matrix_product(p, q):
@@ -99,15 +100,17 @@ class TestGroupLaw:
         GroupSpec("square", (1, 1, 3), [((2, (2, 0, 0), (0, 1, 0)), 2)]),
     ], ids=lambda G: G.name)
     def test_symbolic_law_matches_numeric(self, G):
+        # the law written out from its exact structure constants
         rng = np.random.default_rng(2)
         p, q = rng.uniform(-1, 1, (2, G.n))
-        both = np.concatenate([p, q])
         p0, q0 = p.copy(), q.copy()
         num = G.multiply(p, q)
         assert np.array_equal(p, p0) and np.array_equal(q, q0)
-        for k in range(G.n):
-            assert_allclose(G.multiply_symbolic(k).eval(both), num[k],
-                            atol=1e-14)
+        want = p + q
+        for (k, alpha, beta), c in G.structure:
+            want[k] += float(c) * np.prod(p ** np.array(alpha)) \
+                * np.prod(q ** np.array(beta))
+        assert_allclose(num, want, atol=1e-14)
 
 
 class TestNorms:
@@ -128,11 +131,11 @@ class TestNorms:
 
     def test_koranyi_gamma_is_one(self):
         N = HomogeneousNorm(heisenberg(), "koranyi")
-        assert N.measured_gamma(20000, seed=0) <= 1.0 + 1e-9
+        assert N.measured_gamma() <= 1.0 + 1e-9
 
     def test_even_power_gamma_finite(self):
         N = HomogeneousNorm(heisenberg(), "even-power")
-        g = N.measured_gamma(20000, seed=0)
+        g = N.measured_gamma()
         assert 1.0 <= g < 3.0
 
     def test_gauge_polynomial_consistent(self):
@@ -165,8 +168,11 @@ class TestNorms:
         # [DERIVED] Leb(B(0,1)) = 2 on (R, |x|), so kappa = 1/2
         N = HomogeneousNorm(abelian(1))
         assert_allclose(N.calibration(), 0.5, rtol=2e-3)
-        assert_allclose(N.ball_volume(3.0), 3.0)
-        assert_allclose(N.ball_volume(3.0, calibrated=False), 6.0, rtol=2e-3)
+        grid = Grid([0.0], [3.3], [3301], rule="midpoint")
+        ball = lambda p: (N(p) <= 3.0).astype(float)
+        assert_allclose(haar_integrate(ball, grid, N.calibration()), 3.0,
+                        rtol=2e-3)
+        assert_allclose(haar_integrate(ball, grid), 6.0, rtol=2e-3)
 
     @pytest.mark.parametrize("G, variant, want", [
         (abelian(1), "even-power", 0.5),

@@ -8,11 +8,12 @@ from numpy.testing import assert_allclose
 
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
 from nilharmonics.kernels import (
-    KernelSpec, certify_RGamma, dilate_kernel, dilated_field,
+    KernelSpec, certify_RGamma, dilated_field,
     harmonicity_residual, scale_derivative,
 )
 from nilharmonics.polynomials import Profile, SmoothField
-from nilharmonics.quadrature import Grid, convolve, haar_integrate
+from nilharmonics.quadrature import Grid, approximate_identity, convolve, \
+    haar_integrate
 
 
 def classical(n=1):
@@ -116,7 +117,7 @@ class TestDilate:
     def test_identity_scale(self):
         P = classical()
         x = np.linspace(-3, 3, 11)[:, None]
-        assert_allclose(dilate_kernel(P, 1.0, x), P(x))
+        assert_allclose(dilated_field(P, 1.0)(x), P(x))
 
     def test_r1_closed_form(self):
         # [DERIVED] a^{-1} P(x/a) = a / (pi (a^2 + x^2))
@@ -124,13 +125,13 @@ class TestDilate:
         x = np.linspace(-5, 5, 21)[:, None]
         for a in [0.5, 2.0]:
             want = a / (np.pi * (a ** 2 + x[:, 0] ** 2))
-            assert_allclose(dilate_kernel(P, a, x), want, rtol=1e-12)
+            assert_allclose(dilated_field(P, a)(x), want, rtol=1e-12)
 
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
     def test_mass_preserved(self, a):
         P = classical()
         grid = Grid([0.0], [1e6], 8001, grading=14.0)
-        m1 = haar_integrate(lambda p: dilate_kernel(P, a, p), grid)
+        m1 = haar_integrate(dilated_field(P, a), grid)
         assert_allclose(m1, 1.0, atol=1e-5)
 
     def test_homogeneity_exact(self):
@@ -140,20 +141,22 @@ class TestDilate:
         rng = np.random.default_rng(2)
         eta = rng.uniform(-2, 2, (8, 3))
         for a, b in [(2.0, 1.0), (0.5, 3.0)]:
-            lhs = dilate_kernel(P, a * b, G.dilate(a, eta))
-            rhs = a ** -4.0 * dilate_kernel(P, b, eta)
+            lhs = dilated_field(P, a * b)(G.dilate(a, eta))
+            rhs = a ** -4.0 * dilated_field(P, b)(eta)
             assert_allclose(lhs, rhs, rtol=1e-13)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
-            dilate_kernel(classical(), 0.0, np.zeros(1))
+            dilated_field(classical(), 0.0)
 
     def test_dilated_field_matches(self):
         P = heis_kernel()
         rng = np.random.default_rng(3)
         eta = rng.uniform(-3, 3, (6, 3))
         f = dilated_field(P, 0.7)
-        assert_allclose(f.eval(eta), dilate_kernel(P, 0.7, eta), rtol=1e-12)
+        # against a^{-Q} P(delta_{1/a} eta), evaluated numerically
+        want = approximate_identity(P.spec, P, 0.7)(eta)
+        assert_allclose(f.eval(eta), want, rtol=1e-12)
 
 
 class TestScaleDerivative:
@@ -277,7 +280,7 @@ class TestSemigroup:
         G = P.spec
         grid = Grid([0.0], [500.0], 2001, grading=5.0)
         xs = np.linspace(-4, 4, 17)[:, None]
-        got = convolve(G, lambda p: dilate_kernel(P, a, p),
-                       lambda p: dilate_kernel(P, b, p), xs, grid)
-        want = dilate_kernel(P, a + b, xs)
+        got = convolve(G, dilated_field(P, a),
+                       dilated_field(P, b), xs, grid)
+        want = dilated_field(P, a + b)(xs)
         assert np.max(np.abs(got - want)) < 1e-3

@@ -16,7 +16,7 @@ from nilharmonics.group_core import (
     HomogeneousNorm, abelian, heisenberg, weight_field,
 )
 from nilharmonics.polynomials import (
-    Polynomial, Profile, SmoothField, bump_profile, gaussian_profile,
+    Polynomial, Profile, SmoothField, gaussian_profile,
     poly_bump_profile,
 )
 
@@ -122,7 +122,8 @@ def flat_top_below_its_cap(u):
 
 
 @pytest.mark.parametrize("prof, g, cap", [
-    (bump_profile(1.5), lambda u: 1.5 * sympy.exp(1 + 1 / (u - 1)), 1.0),
+    (Profile(lambda u: 1.5 * sympy.exp(1 + 1 / (u - 1)), support_cap=1.0),
+     lambda u: 1.5 * sympy.exp(1 + 1 / (u - 1)), 1.0),
     (poly_bump_profile(2.0, 6), lambda u: 2.0 * (1 - u) ** 6, 1.0),
     (flat_top_profile(), flat_top_below_its_cap, 2.0),
 ], ids=["bump", "poly_bump", "flat_top"])

@@ -11,7 +11,7 @@ from nilharmonics.group_core import GroupSpec, abelian, heisenberg, \
 from nilharmonics.kernels import KernelSpec
 from nilharmonics.io import load_measure
 from nilharmonics.weak_l1 import (
-    AtomicMeasure, CoveringCertificate, Window, U_i_profile, DyadicPiece,
+    AtomicMeasure, CoveringCertificate, Window, DyadicPiece,
     U_nu, _ball_samples, _count_within, _forbid_radius, _lattice_coords, _lattice_scales,
     build_covering, measure_poisson, mu_poisson_bounds, phi_gamma,
     superlevel_measure, u_piece, verify_covering, weak_l1_constant,
@@ -306,6 +306,28 @@ def test_da_over_a_measure_fails_weak_bound():
     assert prods[-1] > 10.0 * prods[0]
 
 
+def one(e, a):
+    return np.ones(np.broadcast_shapes(np.shape(a), e.shape[:-1]))
+
+
+@pytest.mark.parametrize("estimator", ["grid", "monte-carlo"])
+@pytest.mark.parametrize("a_power", [-1, -1.5])
+def test_height_power_not_integrable_at_zero_rejected(estimator, a_power):
+    # int_0 a^p da diverges for p <= -1: no window from a = 0 measures it
+    with pytest.raises(ValueError):
+        superlevel_measure(one, 0.5, Window((0.0,), (1.0,), 0.0, 1.0),
+                           estimator=estimator, a_power=a_power)
+
+
+def test_integrable_height_power_from_zero_is_exact():
+    # |{1 > 1/2}| against da / sqrt(a) on [-1, 1] x (0, 1] is 2 * 2 = 4;
+    # each height cell's weight is its exact integral, down to a = 0
+    m, bar = superlevel_measure(one, 0.5, Window((0.0,), (1.0,), 0.0, 1.0),
+                                resolution=11, a_power=-0.5)
+    assert_allclose(m, 4.0, rtol=1e-12)
+    assert bar == 0.0
+
+
 # -- global bounds for measure Poisson integrals -----------------------------
 
 CERT_OK = {"passed": True, "note": "precomputed certification"}
@@ -322,18 +344,6 @@ def test_mu_poisson_weak_and_sup_bounds():
     sups = rep["sup_infinity"]
     assert all(np.isfinite(s) for s in sups)
     assert rep["sup_nonincreasing"]
-
-
-def test_mu_poisson_far_atom_splits_into_near_far():
-    ker = KernelSpec(LINE, LNORM, "classical_abelian")
-    mu = AtomicMeasure([[100.0]], [1.0])
-    win = Window((0.0,), (2.0,), 0.5, 2.0)
-    rep = mu_poisson_bounds(mu, ker, win, a0=1.0, certificate=CERT_OK,
-                            resolution=61)
-    # every window point has |xi| = 100 >= 2 |eta|: only the far piece
-    assert rep["pieces"]["middle"] == 0.0
-    assert rep["pieces"]["near"] == 0.0
-    assert rep["pieces"]["far"] > 0.0
 
 
 def test_mu_poisson_refuses_uncertified_kernel():
@@ -371,7 +381,6 @@ def test_empty_measure_gives_empty_covering():
     assert cert.counts["authorized"] == 0
     rep = verify_covering(cert, LINE, LNORM, nu)
     assert rep["C_i"] == 0.0 and rep["C_iii"] == 0.0
-    assert np.all(U_i_profile(cert, LINE, LNORM, np.zeros(1)) == 0.0)
 
 
 def test_covering_depth_underflow_rejected():
@@ -553,20 +562,3 @@ def test_covering_concentrates_near_single_atom():
     assert cert.counts["authorized"] >= 1
     for p in cert.authorized:
         assert LNORM(LINE.multiply(-p.center, nu.xi[0])) <= 2 * 2.0 ** 1
-
-
-def test_U_i_profile_bounded_and_decaying(line_cover):
-    cert, rep = line_cover
-    near = [U_i_profile(cert, LINE, LNORM, np.array([x]))
-            for x in (-1.0, 0.0, 1.0)]
-    C2 = max(float(np.max(u)) for u in near)
-    assert C2 <= rep["C_iii"] + 1e-12
-    # decay clause: dist(eta, T_i) > 2^{i0+p} forces U_i <= C2 2^{-(p+i)G}
-    for p_exp in (2, 4):
-        far = U_i_profile(cert, LINE, LNORM,
-                          np.array([2.0 ** (cert.i0 + p_exp) * 2.0]))
-        for i, u in enumerate(far):
-            assert u <= C2 * 2.0 ** (-(p_exp + i) * cert.Gamma)
-    # summability over scales at every probe
-    for u in near:
-        assert float(np.sum(u)) <= rep["C_iii"] + 1e-12
