@@ -48,7 +48,7 @@ class InvariantField:
     def __init__(self, spec: GroupSpec, side, j):
         if not 0 <= j < spec.n:
             raise ValueError("field index out of range")
-        self.spec, self.side, self.j = spec, side, j
+        self.spec = spec
         n = spec.n
         coeffs = [Polynomial.zero(n) for _ in range(n)]
         coeffs[j] = Polynomial.constant(n, 1)
@@ -68,13 +68,9 @@ class InvariantField:
         for k, p in enumerate(self.coeffs):
             if p.is_zero():
                 continue
-            term = f.diff(k)
-            term = term * p if isinstance(f, Polynomial) else term.mul_poly(p)
+            term = f.diff(k) * p
             out = term if out is None else out + term
-        if out is None:
-            out = (Polynomial.zero(f.n) if isinstance(f, Polynomial)
-                   else f.mul_poly(Polynomial.zero(f.n)))
-        return out
+        return f * 0 if out is None else out
 
     def apply_fd(self, f):
         """Wrap a callable on (..., n) arrays into its derivative under the
@@ -232,15 +228,13 @@ class ConversionTable:
     I_alpha = {beta : |beta| <= |alpha|, d(beta) >= d(alpha)} and Q[beta]
     is homogeneous of homogeneous degree d(beta) - d(alpha)."""
 
-    def __init__(self, spec, alpha, table):
-        self.spec, self.alpha, self.table = spec, tuple(alpha), table
+    def __init__(self, spec, table):
+        self.spec, self.table = spec, table
 
     def apply_symbolic(self, f):
         out = None
         for beta, q in self.table.items():
-            term = OperatorWord(self.spec, "X", beta).apply_symbolic(f)
-            term = term * q if isinstance(term, Polynomial) \
-                else term.mul_poly(q)
+            term = OperatorWord(self.spec, "X", beta).apply_symbolic(f) * q
             out = term if out is None else out + term
         return out
 
@@ -286,7 +280,7 @@ def _conversion_table(spec, alpha):
             raise RuntimeError("conversion left the expected index set")
         if not q.is_homogeneous(spec.weights, spec.mdeg(beta) - d_alpha):
             raise RuntimeError("conversion coefficient is not homogeneous")
-    return ConversionTable(spec, alpha, table)
+    return ConversionTable(spec, table)
 
 
 # -- identity residuals -----------------------------------------------------

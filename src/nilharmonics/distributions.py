@@ -22,7 +22,7 @@ from .calculus import OperatorWord, leibniz_tilde_coeff, \
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .kernels import KernelSpec, _sweep_points, dilated_field
 from .polynomials import Profile, SmoothField
-from .quadrature import Grid, _evaluate, _grading_for, convolve
+from .quadrature import Grid, _evaluate, _grading_for, box_grid, convolve
 
 
 def flat_top_profile():
@@ -210,10 +210,8 @@ def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
     every scale a, and the box covers any density supported in a euclidean
     box of size ~span around eta."""
     pa_check = _pa_check(T, kernel, a)
-    spec = T.spec
-    grid = Grid(np.zeros(spec.n), [span ** float(d) for d in spec.weights],
-                count, grading=_grading_for(span / a, spec.weights, count,
-                                            center_spacing=6.0 / count))
+    grid = box_grid(T.spec, span, count, grading=_grading_for(
+        T.spec, span / a, count, center_spacing=6.0 / count))
     return _convolve_terms(T, pa_check, eta, grid, form="second")
 
 

@@ -79,6 +79,8 @@ class GroupSpec:
             for (k, alpha, beta), c in struct))
         # homogeneous dimension, exact; also not a field
         object.__setattr__(self, "Q", sum(w, Fraction(0)))
+        # the weights as floats, the exponents of every dilation
+        object.__setattr__(self, "_d", np.array([float(d) for d in w]))
 
     @property
     def n(self):
@@ -123,11 +125,12 @@ class GroupSpec:
         return -eta
 
     def dilate(self, a, eta):
-        if a <= 0:
+        """delta_a eta, coordinate k scaled by a**d_k: a is one scale, or
+        one scale per point broadcast against the batch shape of eta."""
+        a = np.asarray(a, dtype=float)
+        if np.any(a <= 0):
             raise ValueError("dilation parameter must be positive")
-        eta = np.asarray(eta, dtype=float)
-        scale = np.array([float(a) ** float(d) for d in self.weights])
-        return eta * scale
+        return np.asarray(eta, dtype=float) * a[..., None] ** self._d
 
     def identity(self):
         return np.zeros(self.n)

@@ -93,30 +93,27 @@ def scale_derivative(kernel: KernelSpec, k, a):
     spec = kernel.spec
     f = kernel.field
     for _ in range(k):
-        Ef = f.scale(-float(spec.Q))
+        Ef = f * -float(spec.Q)
         for j, d in enumerate(spec.weights):
-            Ef = Ef + f.diff(j).mul_poly(Polynomial.coordinate(spec.n, j) * -d)
+            Ef = Ef + f.diff(j) * (Polynomial.coordinate(spec.n, j) * -d)
         f = Ef
-    return f.dilate_arg(1.0 / a, spec.weights).mul_poly(Polynomial.constant(
-        spec.n, float(a) ** -float(spec.Q)))
+    return f.dilate_arg(1.0 / a, spec.weights) * float(a) ** -float(spec.Q)
 
 
 def _sweep_points(norm: HomogeneousNorm, radius, n_dirs, n_radii, seed=0):
-    """Gauge-logarithmic sweep: random directions on the unit sphere of the
-    gauge, dilated to radii log-spaced in (0, radius]."""
+    """Gauge-logarithmic sweep: the identity, then random directions
+    dilated onto the unit sphere of the gauge (delta_{1/|eta|} eta) and
+    from there to radii log-spaced in [1e-2, radius], radius by radius."""
     rng = np.random.default_rng(seed)
     spec = norm.spec
     dirs = rng.standard_normal((n_dirs, spec.n))
-    dirs /= norm(dirs)[:, None]
+    dirs = spec.dilate(1.0 / norm(dirs), dirs)
     # constant density per decade (n_radii points when radius = 100), so a
     # doubled sweep samples the new outer octave as finely as the old one
     n_pts = max(8, int(round(n_radii * np.log10(radius * 100.0) / 4.0)))
-    radii = np.concatenate([[0.0], np.geomspace(1e-2, radius, n_pts)])
-    pts = [np.zeros(spec.n)]
-    for r in radii[1:]:
-        scale = np.array([r ** float(d) for d in spec.weights])
-        pts.append(dirs * scale)
-    return np.concatenate([p.reshape(-1, spec.n) for p in pts], axis=0)
+    radii = np.geomspace(1e-2, radius, n_pts)
+    return np.concatenate([np.zeros((1, spec.n)), spec.dilate(
+        radii[:, None], dirs).reshape(-1, spec.n)])
 
 
 def certify_RGamma(kernel: KernelSpec, radius=100.0, n_dirs=24, n_radii=40,

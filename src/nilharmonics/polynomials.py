@@ -323,13 +323,10 @@ class SmoothField:
             out[k] = out.get(k, Polynomial.zero(self.n)) + p
         return SmoothField(self.base, self.profile, out)
 
-    def mul_poly(self, poly):
+    def __mul__(self, other):
+        """The field times a Polynomial or a scalar."""
         return SmoothField(self.base, self.profile,
-                           {k: poly * p for k, p in self.terms.items()})
-
-    def scale(self, c):
-        return SmoothField(self.base, self.profile,
-                           {k: p * c for k, p in self.terms.items()})
+                           {k: other * p for k, p in self.terms.items()})
 
     def negate_coords(self):
         """The check map: f -> f(-theta) (group inverse in exp coordinates)."""

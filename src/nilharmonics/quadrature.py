@@ -66,17 +66,17 @@ class Grid:
 
     def __init__(self, centers, half_widths, counts, rule="simpson",
                  grading=None):
-        self.centers = np.atleast_1d(np.asarray(centers, dtype=float))
-        self.half_widths = np.broadcast_to(
-            np.asarray(half_widths, dtype=float), self.centers.shape).copy()
-        n = len(self.centers)
+        centers = np.atleast_1d(np.asarray(centers, dtype=float))
+        n = len(centers)
+        half_widths = np.broadcast_to(np.asarray(half_widths, dtype=float),
+                                      (n,))
         counts = np.broadcast_to(np.asarray(counts, dtype=int), (n,))
         gradings = (np.zeros(n) if grading is None else
                     np.broadcast_to(np.asarray(grading, dtype=float), (n,)))
         self.axes, axis_w = [], []
         for k in range(n):
-            x, w = _axis_nodes(self.centers[k], self.half_widths[k],
-                               int(counts[k]), rule, gradings[k])
+            x, w = _axis_nodes(centers[k], half_widths[k], int(counts[k]),
+                               rule, gradings[k])
             self.axes.append(x)
             axis_w.append(w)
         self.points = tensor_grid(self.axes)
@@ -86,9 +86,10 @@ class Grid:
 
 
 def box_grid(spec: GroupSpec, radius, count, rule="simpson", grading=None):
-    """Box whose axis k extends radius**d_k, matching the dilation scaling."""
-    hw = [float(radius) ** float(d) for d in spec.weights]
-    return Grid(np.zeros(spec.n), hw, count, rule=rule, grading=grading)
+    """Box whose axis k extends radius**d_k: the unit cube dilated by
+    radius."""
+    return Grid(np.zeros(spec.n), spec.dilate(radius, np.ones(spec.n)),
+                count, rule=rule, grading=grading)
 
 
 def _evaluate(f, pts):
@@ -190,53 +191,43 @@ def approximate_identity(spec: GroupSpec, h, a, mass=1.0):
 
 # -- polar decomposition ----------------------------------------------------
 
-class SphereQuadrature:
-    """Quadrature on the gauge unit sphere, realized as the pushforward of a
-    Cartesian quadrature over the shell 1 <= |eta| <= 1.2:  each shell
-    point eta at radius rho = |eta| projects to delta_{1/rho} eta, carrying
-    Lebesgue weight divided by rho^{Q-1} and by the shell's radial extent
-    0.2."""
-
-    def __init__(self, norm: HomogeneousNorm, resolution=81):
-        spec = norm.spec
-        thickness = 0.2
-        outer = 1.0 + thickness
-        grid = box_grid(spec, outer, resolution, rule="midpoint")
-        rho = norm(grid.flat_points)
-        keep = (rho >= 1.0) & (rho <= outer)
-        rho = rho[keep]
-        pts = grid.flat_points[keep]
-        scale = np.stack([rho ** -float(d) for d in spec.weights], axis=-1)
-        self.nodes = pts * scale
-        self.weights = (grid.flat_weights[keep] * norm.calibration()
-                        / rho ** (float(spec.Q) - 1.0) / thickness)
-        self.norm = norm
-
-
 def polar_integrate(f, norm: HomogeneousNorm, r_max, n_r=201, resolution=81):
     """int_0^{r_max} int_S f(delta_r xi) r^{Q-1} dsigma(xi) dr under the
-    calibrated normalization (so the constant 1 on the unit ball gives 1)."""
-    sphere = SphereQuadrature(norm, resolution=resolution)
-    spec = norm.spec
+    calibrated normalization (so the constant 1 on the unit ball gives 1).
+
+    The rule on the gauge unit sphere S is the pushforward of a Cartesian
+    midpoint rule over the shell 1 <= |eta| <= 1.2: each shell point eta
+    at rho = |eta| projects to delta_{1/rho} eta, carrying its Lebesgue
+    weight divided by rho^{Q-1} and by the shell's radial extent 0.2.  The
+    radial rule is Simpson's on [0, r_max]; delta_0 is not a dilation, so
+    its node r = 0 is the identity."""
+    spec, Q = norm.spec, float(norm.spec.Q)
+    grid = box_grid(spec, 1.2, resolution, rule="midpoint")
+    rho = norm(grid.flat_points)
+    keep = (rho >= 1.0) & (rho <= 1.2)
+    rho = rho[keep]
+    nodes = spec.dilate(1.0 / rho, grid.flat_points[keep])
+    sigma = grid.flat_weights[keep] * norm.calibration() \
+        / rho ** (Q - 1.0) / 0.2
     r, wr = _axis_nodes(r_max / 2, r_max / 2, n_r, "simpson", None)
-    scale = np.stack([r[:, None] ** float(d) for d in spec.weights], axis=-1)
-    pts = sphere.nodes[None, :, :] * scale
-    vals = _evaluate(f, pts)
-    shell = vals @ sphere.weights
-    return float(np.sum(shell * r ** (float(spec.Q) - 1.0) * wr))
+    shell = np.concatenate([  # the first node, r = 0, is the identity
+        [_evaluate(f, spec.identity()) * np.sum(sigma)],
+        _evaluate(f, spec.dilate(r[1:, None], nodes)) @ sigma])
+    return float(np.sum(shell * r ** (Q - 1.0) * wr))
 
 
 # -- the integrals I_{r,s} --------------------------------------------------
 
-def _grading_for(radius, weights, count, center_spacing=0.2):
+def _grading_for(spec: GroupSpec, radius, count, center_spacing=0.2):
     """Per-axis sinh strengths so that the node spacing at the box center
     stays near `center_spacing` (resolving the unit-scale peaks of the
-    integrand) however large the box is.  Axis k extends radius**d_k, so its
-    strength solves radius**d_k * g/sinh(g) * du = center_spacing."""
+    integrand) however large the box is.  Axis k of box_grid(spec, radius)
+    extends h_k = radius**d_k, so its strength solves
+    h_k * g/sinh(g) * du = center_spacing."""
     du = 2.0 / (count - 1)
     out = []
-    for d in weights:
-        target = min(center_spacing / (float(radius) ** float(d) * du), 0.999)
+    for h in spec.dilate(radius, np.ones(spec.n)):
+        target = min(center_spacing / (h * du), 0.999)
         g = 1.0
         for _ in range(100):  # fixed point of g = asinh(g / target)
             g_new = np.arcsinh(g / target)
@@ -285,8 +276,7 @@ def _irs_doublings(norm: HomogeneousNorm, r, s, eta, count,
     radius = 4.0 + 2.0 * float(norm(eta))
     prev = None
     for _ in range(max_doublings):
-        g = _grading_for(radius, spec.weights, count,
-                         center_spacing=5.0 / count)
+        g = _grading_for(spec, radius, count, center_spacing=5.0 / count)
         total = (_irs_piece(norm, r, s, eta, radius, count, +1, g)
                  + _irs_piece(norm, r, s, eta, radius, count, -1, g))
         if prev is not None and abs(total - prev) <= 1e-4 * abs(total):

@@ -1,10 +1,10 @@
 """Weak-L1 machinery on the solvable extension N x (0, inf).
 
 Provides the comparison profile Phi_Gamma, atomic measures with the
-(1+|xi|)^{-(Q+Gamma)} moment, superlevel-set measure estimators with error
-bars, weak-type constants for measure Poisson integrals, and an executable
-dyadic covering of the superlevel set {U_nu > alpha} together with a
-verification report for its measured constants.
+(1+|xi|)^{-(Q+Gamma)} moment, a grid estimator of superlevel-set measures
+with an error bar, weak-type constants for measure Poisson integrals, and
+an executable dyadic covering of the superlevel set {U_nu > alpha}
+together with a verification report for its measured constants.
 """
 
 import math
@@ -123,22 +123,19 @@ def U_nu(spec: GroupSpec, norm: HomogeneousNorm, nu: AtomicMeasure, Gamma,
     return acc
 
 
-# -- superlevel-set measure estimators ---------------------------------------
+# -- superlevel-set measures -------------------------------------------------
 
-def superlevel_measure(F, alpha, window: Window, estimator="grid",
-                       resolution=101, a_resolution=None, n_samples=200000,
-                       seed=0, calibration=1.0, a_power=0):
+def superlevel_measure(F, alpha, window: Window, resolution=101,
+                       a_resolution=None, calibration=1.0, a_power=0):
     """Measure of {(eta, a) in window : F(eta, a) > alpha} with respect to
-    calibration * d(eta) a^{a_power} da.  Returns (value, error_bar): the
-    grid estimator reports the shift between two half-cell-offset grids,
-    the Monte-Carlo estimator a 3-sigma binomial bar.
+    calibration * d(eta) a^{a_power} da, on a grid of cell midpoints.
+    Returns (value, error_bar), the bar the shift between two
+    half-cell-offset grids.
 
-    F takes points eta of shape (P, n).  The grid estimator passes a block
-    of h heights as an (h, 1) column, and F(eta, a) must broadcast to
-    (h, P), row k at height a[k]; an F that ignores a may return (P,).
-    The Monte-Carlo estimator passes one height per point, shape (P,).
-    A window from a_lo = 0 needs a_power > -1, where a^{a_power} is
-    integrable at 0.
+    F takes points eta of shape (P, n) and a block of h heights as an
+    (h, 1) column, and F(eta, a) must broadcast to (h, P), row k at height
+    a[k]; an F that ignores a may return (P,).  A window from a_lo = 0
+    needs a_power > -1, where a^{a_power} is integrable at 0.
     """
     if a_power <= -1 and window.a_lo == 0:
         raise ValueError("a^a_power is not integrable at a = 0; "
@@ -146,41 +143,28 @@ def superlevel_measure(F, alpha, window: Window, estimator="grid",
     n = window.n
     c = np.asarray(window.center, dtype=float)
     hw = np.asarray(window.half_widths, dtype=float)
-    if estimator == "grid":
-        res = np.broadcast_to(resolution, (n,))
-        na = a_resolution or res[0]
-        step = 2 * hw / res
-        cell = math.prod(step)
-        a_edges = np.linspace(window.a_lo, window.a_hi, na + 1)
-        lo, hi, p = a_edges[:-1], a_edges[1:], a_power + 1.0
-        # exact integral of a^{a_power} over each height cell
-        a_w = np.log(hi / lo) if a_power == -1 else (hi ** p - lo ** p) / p
-        a_mid = 0.5 * (lo + hi)
-        vals = []
-        for shift in (0.0, 0.5):
-            pts = tensor_grid([c[k] - hw[k] + (np.arange(res[k]) + 0.5 + shift)
-                               * step[k] for k in range(n)]).reshape(-1, n)
-            total = 0.0
-            for blk in _chunks(na, len(pts)):
-                a = a_mid[blk, None]
-                hits = np.broadcast_to(F(pts, a) > alpha, (len(a), len(pts)))
-                # per-height counts added in height order, as one by one
-                for row, aw in zip(hits, a_w[blk]):
-                    total += float(np.sum(row)) * cell * aw
-            vals.append(total * calibration)
-        return 0.5 * (vals[0] + vals[1]), abs(vals[0] - vals[1])
-    if estimator == "monte-carlo":
-        rng = np.random.default_rng(seed)
-        pts = c + rng.uniform(-1, 1, size=(n_samples, n)) * hw
-        a_s = np.maximum(rng.uniform(window.a_lo, window.a_hi, n_samples),
-                         1e-12)
-        contrib = (F(pts, a_s) > alpha) * a_s ** float(a_power)
-        vol = float(np.prod(2 * hw)) * (window.a_hi - window.a_lo)
-        value = calibration * vol * float(np.mean(contrib))
-        bar = calibration * vol * 3.0 * float(np.std(contrib)) \
-            / math.sqrt(n_samples)
-        return value, bar
-    raise ValueError(f"unknown estimator {estimator!r}")
+    res = np.broadcast_to(resolution, (n,))
+    na = a_resolution or res[0]
+    step = 2 * hw / res
+    cell = math.prod(step)
+    a_edges = np.linspace(window.a_lo, window.a_hi, na + 1)
+    lo, hi, p = a_edges[:-1], a_edges[1:], a_power + 1.0
+    # exact integral of a^{a_power} over each height cell
+    a_w = np.log(hi / lo) if a_power == -1 else (hi ** p - lo ** p) / p
+    a_mid = 0.5 * (lo + hi)
+    vals = []
+    for shift in (0.0, 0.5):
+        pts = tensor_grid([c[k] - hw[k] + (np.arange(res[k]) + 0.5 + shift)
+                           * step[k] for k in range(n)]).reshape(-1, n)
+        total = 0.0
+        for blk in _chunks(na, len(pts)):
+            a = a_mid[blk, None]
+            hits = np.broadcast_to(F(pts, a) > alpha, (len(a), len(pts)))
+            # per-height counts added in height order, as one by one
+            for row, aw in zip(hits, a_w[blk]):
+                total += float(np.sum(row)) * cell * aw
+        vals.append(total * calibration)
+    return 0.5 * (vals[0] + vals[1]), abs(vals[0] - vals[1])
 
 
 def weak_l1_constant(F, alpha_list, window: Window, calibration=1.0,
@@ -218,8 +202,7 @@ def measure_poisson(spec: GroupSpec, mu: AtomicMeasure, kernel: KernelSpec,
     exact for atoms; a is one height or one per point of eta."""
     eta = np.asarray(eta, dtype=float)[..., None, :]
     a = np.asarray(a, dtype=float)[..., None]
-    scale = np.stack([a ** float(d) for d in spec.weights], axis=-1)
-    arg = spec.multiply(-mu.xi, eta) / scale
+    arg = spec.dilate(1.0 / a, spec.multiply(-mu.xi, eta))
     return np.sum(mu.w * kernel(arg) * a ** (-float(spec.Q)), axis=-1)
 
 
@@ -321,9 +304,9 @@ def _lattice_scales(spec: GroupSpec):
 
 
 def _lattice_coords(spec, s, ints):
-    scales = _lattice_scales(spec)
-    d = np.array([float(w) for w in spec.weights])
-    return np.asarray(ints, dtype=float) * scales * s ** d
+    """The lattice points of integer indices ints at lattice scale s."""
+    return spec.dilate(s, np.asarray(ints, dtype=float)
+                       * _lattice_scales(spec))
 
 
 def _distances(spec, norm, pts, centers, reduce=lambda d: d):
@@ -411,10 +394,8 @@ def _ball_samples(spec, norm, centers, r, count, rng):
         b = rng.uniform(-ext, ext, (int(1.1 * (need - len(pool)) / share)
                                     + 16, spec.n))
         pool = np.concatenate([pool, b[norm(b) <= 1.0]])
-    d = np.array([float(w) for w in spec.weights])
-    scale = np.asarray(r, dtype=float)[..., None, None] ** d
-    return spec.multiply(centers[..., None, :], pool[:need].reshape(shape)
-                         * scale)
+    return spec.multiply(centers[..., None, :], spec.dilate(
+        np.asarray(r, dtype=float)[..., None], pool[:need].reshape(shape)))
 
 
 def _forbid_radius(i0, i, l, Q, Gamma):

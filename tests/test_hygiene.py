@@ -2,7 +2,7 @@
 every public name reaches a verdict, no module reaches into another
 object's private attributes, and each numerical idiom (the tensor grid,
 the finite-difference stencil, the kernel field, the support-box pruning,
-the certification sweep) is called from one place only."""
+the certification sweep, the dilation) is called from one place only."""
 
 import ast
 from pathlib import Path
@@ -153,6 +153,79 @@ def test_profiles_are_lambdified_in_one_place():
     assert callers("errstate") == set()
 
 
+def weight_powers(source):
+    """(line, innermost enclosing function or None) of each power whose
+    exponent reads a dilation weight: an attribute `.weights`, a name
+    `weights`, or a name bound from them in the same function (a loop or
+    comprehension target over them, or an assignment from them)."""
+    def reads(node, bound):
+        return any(isinstance(sub, ast.Attribute) and sub.attr == "weights"
+                   or isinstance(sub, ast.Name)
+                   and (sub.id == "weights" or sub.id in bound)
+                   for sub in ast.walk(node))
+
+    def names(target):
+        return {sub.id for sub in ast.walk(target)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx,
+                                                            ast.Store)}
+
+    tree = ast.parse(source)
+    flagged = set()
+    for scope in (node for node in ast.walk(tree) if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef))):
+        bound, grown = set(), True
+        while grown:  # names bound from names bound from the weights
+            before = len(bound)
+            for node in ast.walk(scope):
+                if isinstance(node, (ast.For, ast.comprehension)) \
+                        and reads(node.iter, bound):
+                    bound |= names(node.target)
+                elif isinstance(node, ast.Assign) \
+                        and reads(node.value, bound):
+                    bound |= set().union(*map(names, node.targets))
+            grown = len(bound) > before
+        flagged |= {id(node) for node in ast.walk(scope)
+                    if isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Pow)
+                    and reads(node.right, bound)}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if id(child) in flagged:
+                found.append((child.lineno, scope))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, None)
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_weight_powers_are_found():
+    source = ("def box(spec, r):\n"
+              "    return [r ** float(d) for d in spec.weights]\n"
+              "def lattice(spec, s):\n"
+              "    d = np.array([float(w) for w in spec.weights])\n"
+              "    return s ** d\n"
+              "def shift(weights, a):\n"
+              "    for p, d in zip(a, weights):\n"
+              "        w = p * d\n"
+              "        yield a ** w\n"
+              "def fine(spec, a):\n"
+              "    return a ** spec.Q + len(spec.weights) ** 2\n")
+    assert weight_powers(source) == [(2, "box"), (5, "lattice"),
+                                     (9, "shift")]
+
+
+def test_dilations_only_through_group_spec():
+    # every delta_a outside group_core is GroupSpec.dilate; precomposing a
+    # polynomial with delta_a rescales its coefficients instead
+    assert {(path.name, scope) for path in SRC.glob("*.py")
+            if path.name != "group_core.py"
+            for _, scope in weight_powers(path.read_text(encoding="utf-8"))} \
+        == {("polynomials.py", "dilate")}
+
+
 ROOT = SRC.parent.parent
 
 
@@ -188,6 +261,34 @@ def names_used(source):
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def init_attributes(source):
+    """(line, name) of each public attribute that the __init__ of a public
+    top-level class assigns as self.name = ..."""
+    found = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for init in cls.body:
+            if not (isinstance(init, ast.FunctionDef)
+                    and init.name == "__init__"):
+                continue
+            for node in ast.walk(init):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "self" \
+                        and not node.attr.startswith("_"):
+                    found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def attributes_read(source):
+    """Every attribute name a module loads, as in x.name."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def test_public_definitions_are_found():
     source = ("X = 1\n"
               "_y = 2\n"
@@ -205,6 +306,17 @@ def test_public_definitions_are_found():
     assert public_definitions(source) == [
         (1, "X"), (3, "f"), (5, "A"), (6, "n"), (7, "m")]
     assert names_used("a.b(c)\nd = 1\n") == {"a", "b", "c", "d"}
+    source = ("class A:\n"
+              "    def __init__(self, side):\n"
+              "        self.spec, self.side = 1, side\n"
+              "        self._p = self.spec\n"
+              "    def m(self):\n"
+              "        self.late = 2\n"
+              "class _B:\n"
+              "    def __init__(self):\n"
+              "        self.x = 3\n")
+    assert init_attributes(source) == [(3, "side"), (3, "spec")]
+    assert attributes_read(source) == {"spec"}
 
 
 # public names that nothing in src/, no acceptance criterion and no
@@ -241,15 +353,19 @@ UNREACHED_ALLOWED = {
 
 def test_every_public_name_reaches_a_verdict():
     # a public name is read somewhere in src/ (a method may be read by its
-    # own module), by the acceptance suite or by perfbench/; the rest are
-    # the pinned allowlist
+    # own module), by the acceptance suite or by perfbench/; an attribute
+    # that a public class's __init__ sets must be read as an attribute,
+    # x.name; the rest are the pinned allowlist
     modules = sorted(SRC.glob("*.py"))
     readers = [*modules, ROOT / "tests" / "test_acceptance.py",
                *sorted((ROOT / "perfbench").glob("*.py"))]
-    read = set().union(*(names_used(path.read_text(encoding="utf-8"))
-                         for path in readers))
+    sources = {path: path.read_text(encoding="utf-8") for path in readers}
+    read = set().union(*map(names_used, sources.values()))
+    read_attrs = set().union(*map(attributes_read, sources.values()))
     unreached = {f"{path.stem}.{name}" for path in modules
-                 for _, name in public_definitions(
-                     path.read_text(encoding="utf-8"))
+                 for _, name in public_definitions(sources[path])
                  if name not in read}
+    unreached |= {f"{path.stem}.{name}" for path in modules
+                  for _, name in init_attributes(sources[path])
+                  if name not in read_attrs}
     assert unreached == set(UNREACHED_ALLOWED)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
 from nilharmonics.kernels import (
-    KernelSpec, certify_RGamma, dilated_field,
+    KernelSpec, _sweep_points, certify_RGamma, dilated_field,
     harmonicity_residual, scale_derivative,
 )
 from nilharmonics.polynomials import Profile, SmoothField
@@ -215,6 +215,21 @@ class TestCertify:
             + ["scale_derivative_1", "scale_derivative_2"]
             + [f"dilated_derivative_X_{w}" for w in words]
             + [f"derivative_Yt_{w}" for w in words])
+
+    @pytest.mark.parametrize("variant", ["even-power", "koranyi"])
+    def test_sweep_directions_are_dilated_onto_the_sphere(self, variant):
+        # each ring of the sweep is delta_r of directions of gauge 1, so the
+        # first ring lies on the sphere of radius 1e-2 and the sweep to R
+        # reaches gauge R exactly (dividing a direction by its gauge is a
+        # euclidean scaling, off the sphere on Heisenberg)
+        norm = HomogeneousNorm(heisenberg(), variant)
+        for R in (100.0, 200.0):
+            pts = _sweep_points(norm, R, 24, 40)
+            assert np.all(pts[0] == 0.0)
+            rings = norm(pts[1:]).reshape(-1, 24)
+            assert_allclose(rings / rings[:, :1], 1.0, rtol=1e-12)
+            assert_allclose(rings[0], 1e-2, rtol=1e-12)
+            assert_allclose(np.max(rings), R, rtol=1e-12)
 
     @pytest.mark.parametrize("kernel,exponent,unstable", [
         (classical, sympy.Rational(-1, 2), "comparability_upper"),

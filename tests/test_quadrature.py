@@ -5,7 +5,7 @@ from scipy.integrate import quad
 
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
 from nilharmonics.quadrature import (
-    Grid, I_rs, SphereQuadrature, approximate_identity, box_grid, check_map,
+    Grid, I_rs, approximate_identity, box_grid, check_map,
     convolve, haar_integrate, irs_bound_check, irs_majorant, polar_integrate,
 )
 
@@ -170,12 +170,9 @@ class TestPolar:
     def setup_method(self):
         self.N = HomogeneousNorm(heisenberg(), "koranyi")
 
-    def test_surface_measure_is_Q(self):
-        # with |B(0,1)| = 1, the sphere mass must equal Q
-        assert_allclose(np.sum(SphereQuadrature(self.N).weights), 4.0,
-                        rtol=1e-2)
-
     def test_unit_ball(self):
+        # with |B(0,1)| = 1 the sphere mass sigma(S) must be Q, which holds
+        # iff int_0^1 sigma(S) r^{Q-1} dr = 1
         one = lambda p: np.ones(p.shape[:-1])
         assert_allclose(polar_integrate(one, self.N, 1.0), 1.0,
                         rtol=1e-2)

@@ -218,19 +218,6 @@ def test_superlevel_closed_form_line(Gamma):
         assert abs(alpha * m - oracle) < 0.03 * oracle
 
 
-def test_superlevel_monte_carlo_matches_grid():
-    F = lambda e, a: phi_gamma(LNORM, 1.0, e, a) / a
-    win = Window((0.0,), (1.2,), 0.0, 1.05)
-    g, _ = superlevel_measure(F, 1.0, win, resolution=400, a_resolution=400,
-                              calibration=LNORM.calibration())
-    mc, bar = superlevel_measure(F, 1.0, win, estimator="monte-carlo",
-                                 n_samples=200000, seed=2,
-                                 calibration=LNORM.calibration())
-    assert abs(mc - g) < max(bar, 0.01 * g)
-    with pytest.raises(ValueError):
-        superlevel_measure(F, 1.0, win, estimator="nope")
-
-
 def test_superlevel_closed_form_heisenberg_monte_carlo():
     # (Q, Gamma) = (4, 1): oracle int_0^1 (1-t)^4 dt = 1/5
     oracle = closed_form_constant(4, 1.0)
@@ -239,10 +226,10 @@ def test_superlevel_closed_form_heisenberg_monte_carlo():
     for alpha in (0.5, 5.0):
         R = 1.05 * alpha ** (-1.0 / 5)
         win = Window((0, 0, 0), (1.1 * R, 1.1 * R, 1.2 * R * R), 0.0, R)
-        m, bar = superlevel_measure(F, alpha, win, estimator="monte-carlo",
-                                    n_samples=400000, seed=1,
-                                    calibration=HNORM.calibration())
-        assert abs(alpha * m - oracle) < 0.05 * oracle + alpha * bar
+        m, _ = superlevel_measure(F, alpha, win, resolution=41,
+                                  a_resolution=41,
+                                  calibration=HNORM.calibration())
+        assert abs(alpha * m - oracle) < 0.05 * oracle
 
 
 def test_weak_constant_line_with_stability():
@@ -310,13 +297,12 @@ def one(e, a):
     return np.ones(np.broadcast_shapes(np.shape(a), e.shape[:-1]))
 
 
-@pytest.mark.parametrize("estimator", ["grid", "monte-carlo"])
 @pytest.mark.parametrize("a_power", [-1, -1.5])
-def test_height_power_not_integrable_at_zero_rejected(estimator, a_power):
+def test_height_power_not_integrable_at_zero_rejected(a_power):
     # int_0 a^p da diverges for p <= -1: no window from a = 0 measures it
     with pytest.raises(ValueError):
         superlevel_measure(one, 0.5, Window((0.0,), (1.0,), 0.0, 1.0),
-                           estimator=estimator, a_power=a_power)
+                           a_power=a_power)
 
 
 def test_integrable_height_power_from_zero_is_exact():
