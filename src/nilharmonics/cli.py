@@ -10,7 +10,6 @@ next to its main artifact.  Exit status: 0 all checks pass, 1 input error,
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,29 +23,20 @@ from .quadrature import Grid, irs_bound_check
 from .weak_l1 import AtomicMeasure, build_covering, verify_covering
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    inputs: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    out: str = None
-    seed: int = 0
-
-    def plan(self):
-        fmt = "json" if self.out is not None and self.out.endswith(".json") \
-            else "csv"
-        return {"command": self.command, "inputs": self.inputs,
-                "params": self.params, "out": self.out, "format": fmt,
-                "seed": self.seed}
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors are input errors (exit 1)
         raise InputError(message)
 
 
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _csv_floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+    return [_finite_float(v) for v in text.split(",") if v.strip()]
 
 
 def _csv_alphas(text):
@@ -54,11 +44,11 @@ def _csv_alphas(text):
             for part in text.split(";") if part.strip()]
 
 
-# -- command bodies: (cfg, spec) -> (artifact, summary, failed checks) -------
+# -- command bodies: (plan, spec) -> (artifact, summary, failed checks) ------
 
-def _group_check(cfg, spec):
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.params["triples"]
+def _group_check(plan, spec):
+    rng = np.random.default_rng(plan["seed"])
+    n = plan["params"]["triples"]
     x, y, z = (rng.uniform(-3, 3, size=(n, spec.n)) for _ in range(3))
     rows = []
     assoc = np.max(np.abs(spec.multiply(spec.multiply(x, y), z)
@@ -78,9 +68,9 @@ def _group_check(cfg, spec):
     return rows, {"checks": rows}, bad
 
 
-def _calculus_identities(cfg, spec):
+def _calculus_identities(plan, spec):
     rows = []
-    for alpha in cfg.params["alphas"]:
+    for alpha in plan["params"]["alphas"]:
         if len(alpha) != spec.n:
             raise InputError(f"alpha needs {spec.n} entries")
         res = conversion_residual(spec, alpha)
@@ -90,10 +80,10 @@ def _calculus_identities(cfg, spec):
     return rows, {"identities": rows}, bad
 
 
-def _quad_irs(cfg, spec):
-    check = irs_bound_check(HomogeneousNorm(spec), cfg.params["r"],
-                            cfg.params["s"],
-                            np.geomspace(0.25, cfg.params["eta_max"], 9))
+def _quad_irs(plan, spec):
+    check = irs_bound_check(HomogeneousNorm(spec), plan["params"]["r"],
+                            plan["params"]["s"],
+                            np.geomspace(0.25, plan["params"]["eta_max"], 9))
     rows = [{"eta_norm": float(t), "I_rs": val, "majorant": maj,
              "ratio": ratio, "converged": converged}
             for (t, val, maj, ratio), converged
@@ -103,33 +93,33 @@ def _quad_irs(cfg, spec):
     return rows, {"rows": rows, "bounded": check["bounded"]}, bad
 
 
-def _kernel_certify(cfg, spec):
-    kernel = KernelSpec(spec, HomogeneousNorm(spec), cfg.params["family"],
-                        Gamma=cfg.params["gamma"])
-    report = certify_RGamma(kernel, seed=cfg.seed)
+def _kernel_certify(plan, spec):
+    kernel = KernelSpec(spec, HomogeneousNorm(spec), plan["params"]["family"],
+                        Gamma=plan["params"]["gamma"])
+    report = certify_RGamma(kernel, seed=plan["seed"])
     bad = [] if report["passed"] else [
         next((k for k, v in report["estimates"].items()
               if not v["stable"]), "certification")]
     return report, {"passed": report["passed"]}, bad
 
 
-def _extend_run(cfg, spec):
+def _extend_run(plan, spec):
     norm = HomogeneousNorm(spec)
-    Gamma = cfg.params["gamma"]
-    kernel = KernelSpec(spec, norm, cfg.params["kernel"], Gamma=Gamma)
-    T = load_distribution(cfg.inputs["dist"], spec, norm, Gamma)
-    kind = cfg.params["phi"]
+    Gamma = plan["params"]["gamma"]
+    kernel = KernelSpec(spec, norm, plan["params"]["kernel"], Gamma=Gamma)
+    T = load_distribution(plan["inputs"]["dist"], spec, norm, Gamma)
+    kind = plan["params"]["phi"]
     phi = TestFunction(spec, density_from_json(
         spec.n, {"kind": kind, "params": {DENSITY_SIZE[kind]: 2.0}}), "Bdot")
     radius = 4.0
-    count = cfg.params["resolution"]
+    count = plan["params"]["resolution"]
     if spec.n == 1:
         grid = Grid([0.0], [8.0 * radius], [32 * count + 1], grading=6.0)
     else:
         grid = Grid([0.0] * spec.n, [radius] * spec.n, [count] * spec.n)
     result = boundary_convergence(
-        T, kernel, phi, cfg.params["a_list"], grid, grid,
-        method=cfg.params["method"], count=count)
+        T, kernel, phi, plan["params"]["a_list"], grid, grid,
+        method=plan["params"]["method"], count=count)
     rows = [{"a": a, "value": v, "limit": lim, "error": err}
             for a, v, lim, err in result["rows"]]
     bad = [] if all(np.isfinite(row["value"]) for row in rows) \
@@ -140,24 +130,24 @@ def _extend_run(cfg, spec):
                   "monotone": result["monotone"]}, bad
 
 
-def _covering(cfg, spec, nu, Gamma):
+def _covering(plan, spec, nu, Gamma):
     """Build and verify the dyadic covering of nu; returns the certificate,
     the verification report and the failed checks."""
     norm = HomogeneousNorm(spec)
-    cert = build_covering(spec, norm, nu, Gamma, cfg.params["alpha"],
-                          cfg.params["i0"], cfg.params["depth"],
-                          seed=cfg.seed)
-    report = verify_covering(cert, spec, norm, nu, seed=cfg.seed)
+    cert = build_covering(spec, norm, nu, Gamma, plan["params"]["alpha"],
+                          plan["params"]["i0"], plan["params"]["depth"],
+                          seed=plan["seed"])
+    report = verify_covering(cert, spec, norm, nu, seed=plan["seed"])
     bad = [check for check, held in (
         ("weak-type-chain", report["chain_holds"]),
         ("disjoint-authorized-pieces", report["disjoint"])) if not held]
     return cert, report, bad
 
 
-def _weakl1_run(cfg, spec):
+def _weakl1_run(plan, spec):
     cert, report, bad = _covering(
-        cfg, spec, load_measure(cfg.inputs["measure"], spec.n),
-        cfg.params["gamma"])
+        plan, spec, load_measure(plan["inputs"]["measure"], spec.n),
+        plan["params"]["gamma"])
     payload = {
         "certificate": {
             "alpha": cert.alpha, "Gamma": cert.Gamma, "i0": cert.i0,
@@ -176,9 +166,9 @@ def _weakl1_run(cfg, spec):
                      "disjoint": report["disjoint"]}, bad
 
 
-def _covering_demo(cfg, spec):
+def _covering_demo(plan, spec):
     nu = AtomicMeasure(np.zeros((1, spec.n)), np.ones(1))  # unit atom at 0
-    cert, report, bad = _covering(cfg, spec, nu, 1.0)
+    cert, report, bad = _covering(plan, spec, nu, 1.0)
     payload = {"authorized": len(cert.authorized), "report": report}
     return payload, payload, bad
 
@@ -189,7 +179,7 @@ def _covering_demo(cfg, spec):
 # every other dest is a parameter of the run plan, in flag order.
 
 _REQ = {"required": True}
-_FLOAT = {"type": float, "required": True}
+_FLOAT = {"type": _finite_float, "required": True}
 _INT = {"type": int, "required": True}
 _INPUTS = ("spec", "dist", "measure")
 
@@ -222,38 +212,38 @@ _COMMANDS = {
         ("--out", _REQ)]),
     "covering demo": (_covering_demo, False, [
         ("--spec", {"default": "abelian_R1"}),
-        ("--alpha", {"type": float, "default": 0.1}),
+        ("--alpha", {"type": _finite_float, "default": 0.1}),
         ("--i0", {"type": int, "default": 2}),
         ("--depth", {"type": int, "default": 6}), ("--out", {})]),
 }
 
 
-def run(cfg: ExperimentConfig, dry_run=False):
-    """Dispatch a config; returns the exit status."""
-    plan = cfg.plan()
+def run(plan, dry_run=False):
+    """Dispatch a run plan; returns the exit status."""
     if dry_run:
         json.dump(plan, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
-    meta = metadata(cfg.seed, plan)
-    summary_path = (cfg.out or cfg.command.replace(" ", "-")) \
+    meta = metadata(plan["seed"], plan)
+    out = plan["out"]
+    summary_path = (out or plan["command"].replace(" ", "-")) \
         + ".summary.json"
-    body, is_table, _ = _COMMANDS[cfg.command]
+    body, is_table, _ = _COMMANDS[plan["command"]]
     try:
-        result, summary, bad = body(cfg, load_group(cfg.inputs["spec"]))
+        result, summary, bad = body(plan, load_group(plan["inputs"]["spec"]))
     except InputError:
         raise
     except ValueError as exc:  # bad parameter combinations from the library
         raise InputError(str(exc)) from exc
     status = 2 if bad else 0
     artifacts = []
-    if cfg.out:
+    if out:
         if is_table:
-            emit_table(result, plan["format"], cfg.out)
+            emit_table(result, plan["format"], out)
         else:
-            write_json({**result, "metadata": meta}, cfg.out)
-        artifacts.append(cfg.out)
-    write_json({"command": cfg.command, "exit_code": status,
+            write_json({**result, "metadata": meta}, out)
+        artifacts.append(out)
+    write_json({"command": plan["command"], "exit_code": status,
                 "failed_checks": bad, "summary": summary,
                 "artifacts": artifacts, "metadata": meta}, summary_path)
     if bad:
@@ -279,6 +269,7 @@ def build_parser():
 
 
 def config_from_args(args):
+    """The run plan of parsed arguments, which --dry-run prints."""
     command = f"{args.group_cmd} {args.sub_cmd}"
     inputs, params = {}, {}
     for flag, kwargs in _COMMANDS[command][2]:
@@ -286,8 +277,10 @@ def config_from_args(args):
         if dest != "out":
             plan = inputs if dest in _INPUTS else params
             plan[dest] = getattr(args, dest)
-    return ExperimentConfig(command=command, inputs=inputs, params=params,
-                            out=args.out, seed=args.seed)
+    fmt = "json" if args.out is not None and args.out.endswith(".json") \
+        else "csv"
+    return {"command": command, "inputs": inputs, "params": params,
+            "out": args.out, "format": fmt, "seed": args.seed}
 
 
 def main(argv=None):

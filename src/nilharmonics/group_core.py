@@ -54,8 +54,12 @@ class GroupSpec:
                                     if isinstance(self.structure, dict)
                                     else self.structure):
             alpha, beta = tuple(alpha), tuple(beta)
+            if not 0 <= k < self.n:
+                raise ValueError(f"no coordinate {k} in dimension {self.n}")
             if len(alpha) != self.n or len(beta) != self.n:
                 raise ValueError("multi-index length mismatch")
+            if any(p < 0 or not float(p).is_integer() for p in alpha + beta):
+                raise ValueError("exponents must be nonnegative integers")
             if sum(alpha) == 0 or sum(beta) == 0:
                 raise ValueError("structure multi-indices must be nonzero")
             da, db = self.mdeg(alpha), self.mdeg(beta)

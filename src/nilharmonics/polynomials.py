@@ -148,14 +148,10 @@ class Polynomial:
             out[e] = -c if sum(e) % 2 else c
         return Polynomial(self.n, out)
 
-    def homogeneous_degrees(self, weights):
-        """Set of homogeneous degrees d(alpha) present in the polynomial."""
-        return {sum(Fraction(d) * p for d, p in zip(weights, e))
-                for e in self.coeffs}
-
     def is_homogeneous(self, weights, degree):
-        degs = self.homogeneous_degrees(weights)
-        return degs <= {Fraction(degree)} or not degs
+        """Every monomial theta^e has homogeneous degree d(e) = degree."""
+        return all(sum(Fraction(d) * p for d, p in zip(weights, e))
+                   == Fraction(degree) for e in self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:

@@ -2,12 +2,12 @@
 two-weight integrals I_{r,s}.
 
 Haar measure is Lebesgue measure in exponential coordinates.  Integrals are
-tensor-product composite quadratures (Simpson by default; the rule named
-"midpoint", for rough integrands, is the closed trapezoid rule) over a
-coordinate box; an optional sinh grading concentrates nodes near the box
-center for peaked power-law integrands.  The calibrated
-normalization multiplies Lebesgue measure by the constant making the unit
-ball of a chosen gauge have measure one; plain Lebesgue is the default.
+tensor-product composite quadratures (Simpson by default, the closed
+trapezoid rule for rough integrands) over a coordinate box; an optional
+sinh grading concentrates nodes near the box center for peaked power-law
+integrands.  The calibrated normalization multiplies Lebesgue measure by
+the constant making the unit ball of a chosen gauge have measure one;
+plain Lebesgue is the default.
 """
 
 from __future__ import annotations
@@ -15,6 +15,18 @@ from __future__ import annotations
 import numpy as np
 
 from .group_core import GroupSpec, HomogeneousNorm, tensor_grid
+
+# most float64 elements that one batched step builds at once (2 MB per
+# temporary): a chunk of (eta, xi) or (r, node) pairs, a block of heights
+# on a grid, a chunk of covering candidates or of probes
+_BATCH = 2 ** 18
+
+
+def _chunks(total, per_item):
+    """Consecutive slices that cover range(total), at least one, of at most
+    _BATCH elements when each item spans per_item elements."""
+    step = max(1, _BATCH // max(1, per_item))
+    return [slice(s, s + step) for s in range(0, max(total, 1), step)]
 
 
 def _axis_nodes(center, half_width, count, rule, grading):
@@ -34,9 +46,8 @@ def _axis_nodes(center, half_width, count, rule, grading):
         w = np.ones(count)
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         w *= du / 3.0
-    elif rule == "midpoint":
-        # despite its name, the closed trapezoid rule: end nodes at half
-        # weight, robust for rough integrands and any count
+    elif rule == "trapezoid":
+        # end nodes at half weight: robust for rough integrands, any count
         w = np.full(count, du)
         w[0] = w[-1] = du / 2.0
     else:
@@ -59,7 +70,7 @@ class Grid:
     centers, half_widths : array_like, shape (n,)
     counts : int or array_like
         Nodes per axis (Simpson bumps even counts to odd).
-    rule : {'simpson', 'midpoint'} ('midpoint' is the closed trapezoid)
+    rule : {'simpson', 'trapezoid'} (the closed trapezoid rule)
     grading : None, float, or array_like
         sinh grading strength per axis; None for uniform spacing.
     """
@@ -135,8 +146,8 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first", *,
     form='first' evaluates  int f(xi) g(xi^{-1} eta) dlambda(xi),
     form='second' the equal int f(eta xi^{-1}) g(xi) dlambda(xi).  The
     factor that lives on the grid alone is evaluated once and folded into
-    the weights.  Chunks of 2^16 (eta, xi) pairs keep each temporary
-    (512 KB) in L2 cache.
+    the weights.  A pair spans its n product coordinates and one value,
+    and the pairs go in _chunks of that size.
 
     Pairs whose term is exactly 0 are skipped, which changes the sum only
     in its order:
@@ -161,12 +172,11 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first", *,
         xi, wk = grid.points[index][keep], w[index][keep]
         if not len(xi):
             continue  # every pair of these eta is 0
-        step = max(1, 2 ** 16 // len(xi))  # (eta, xi) pairs per chunk
-        for i0 in range(0, len(rows), step):
-            e = etas[rows[i0:i0 + step], None, :]
+        for blk in _chunks(len(rows), (spec.n + 1) * len(xi)):
+            e = etas[rows[blk], None, :]
             arg = spec.multiply(-xi[None, :, :], e) if form == "first" \
                 else spec.multiply(e, -xi[None, :, :])
-            out[rows[i0:i0 + step]] = _evaluate(moving, arg) @ wk
+            out[rows[blk]] = _evaluate(moving, arg) @ wk
     return out[0] if eta.ndim == 1 else out.reshape(eta.shape[:-1])
 
 
@@ -196,13 +206,14 @@ def polar_integrate(f, norm: HomogeneousNorm, r_max, n_r=201, resolution=81):
     calibrated normalization (so the constant 1 on the unit ball gives 1).
 
     The rule on the gauge unit sphere S is the pushforward of a Cartesian
-    midpoint rule over the shell 1 <= |eta| <= 1.2: each shell point eta
+    trapezoid rule over the shell 1 <= |eta| <= 1.2: each shell point eta
     at rho = |eta| projects to delta_{1/rho} eta, carrying its Lebesgue
     weight divided by rho^{Q-1} and by the shell's radial extent 0.2.  The
     radial rule is Simpson's on [0, r_max]; delta_0 is not a dilation, so
-    its node r = 0 is the identity."""
+    its node r = 0 is the identity.  The (r, node) pairs go in _chunks,
+    each spanning its n coordinates and one value."""
     spec, Q = norm.spec, float(norm.spec.Q)
-    grid = box_grid(spec, 1.2, resolution, rule="midpoint")
+    grid = box_grid(spec, 1.2, resolution, rule="trapezoid")
     rho = norm(grid.flat_points)
     keep = (rho >= 1.0) & (rho <= 1.2)
     rho = rho[keep]
@@ -212,7 +223,8 @@ def polar_integrate(f, norm: HomogeneousNorm, r_max, n_r=201, resolution=81):
     r, wr = _axis_nodes(r_max / 2, r_max / 2, n_r, "simpson", None)
     shell = np.concatenate([  # the first node, r = 0, is the identity
         [_evaluate(f, spec.identity()) * np.sum(sigma)],
-        _evaluate(f, spec.dilate(r[1:, None], nodes)) @ sigma])
+        *(_evaluate(f, spec.dilate(r[1:][blk, None], nodes)) @ sigma
+          for blk in _chunks(len(r) - 1, (spec.n + 1) * len(nodes)))])
     return float(np.sum(shell * r ** (Q - 1.0) * wr))
 
 
@@ -312,7 +324,8 @@ def irs_majorant(norm: HomogeneousNorm, r, s, eta_norm):
 def irs_bound_check(norm: HomogeneousNorm, r, s, eta_values, count=25):
     """Sweep I_{r,s} along a ray and report the ratio to the majorant.
 
-    eta_values: array of gauge radii; the sweep walks eta = delta_t e_1.
+    eta_values: array of finite, nonnegative gauge radii (any other is
+    refused); the sweep walks eta = delta_t e_1.
     'bounded' is acceptance 05's rule: the sup ratio grows by less than 5%
     when a point at twice the largest radius joins the sweep.  A sweep that
     ends too early for that gets up to two more doublings.  'converged'
@@ -330,6 +343,8 @@ def irs_bound_check(norm: HomogeneousNorm, r, s, eta_values, count=25):
         return (t, val, maj, val / maj), converged
 
     ts = np.asarray(eta_values, dtype=float)
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise ValueError("gauge radii must be finite and nonnegative")
     rows, converged = zip(*(ratio_row(t) for t in ts))
     sup_ratio = grown = max(row[3] for row in rows)
     for t in 2.0 ** np.arange(1, 4) * ts.max():

@@ -16,17 +16,7 @@ import numpy as np
 
 from .group_core import GroupSpec, HomogeneousNorm, tensor_grid
 from .kernels import KernelSpec, certify_RGamma
-
-# most float64 elements that one batched step builds at once: a block of
-# heights on a grid, a chunk of covering candidates or of probes
-_BATCH = 2 ** 18
-
-
-def _chunks(total, per_item):
-    """Consecutive slices that cover range(total), at least one, of at most
-    _BATCH elements when each item spans per_item elements."""
-    step = max(1, _BATCH // max(1, per_item))
-    return [slice(s, s + step) for s in range(0, max(total, 1), step)]
+from .quadrature import _chunks
 
 
 # -- windows ----------------------------------------------------------------

@@ -98,11 +98,25 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+def _heis_terms(*terms):
+    """A group on the Heisenberg weights with the given (k, alpha, beta, c)
+    structure terms."""
+    return {"name": "g", "n": 3, "weights": ["1", "1", "2"],
+            "structure": [{"k": k, "alpha": alpha, "beta": beta, "c": c}
+                          for k, alpha, beta, c in terms]}
+
+
 @pytest.mark.parametrize("spec", [
     # a string is not a list of weights, though it iterates like one
     {"name": "g", "n": 2, "weights": "12", "structure": []},
     {"name": "g", "n": 3, "weights": ["1", "1"], "structure": []},
-], ids=["string-weights", "n-mismatch"])
+    _heis_terms((-1, [1, 0, 0], [0, 1, 0], "1/2"),
+                (-1, [0, 1, 0], [1, 0, 0], "-1/2")),
+    _heis_terms((5, [1, 0, 0], [0, 1, 0], "1")),
+    _heis_terms((2, [2, -1, 0], [1, 0, 0], "1")),
+    _heis_terms((2, [0.5, 0.5, 0], [1, 0, 0], "1")),
+], ids=["string-weights", "n-mismatch", "k=-1", "k=5", "negative-exponent",
+        "fractional-exponent"])
 def test_malformed_group_is_input_error(tmp_path, capsys, spec):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(spec))
@@ -116,6 +130,32 @@ def test_malformed_group_is_input_error(tmp_path, capsys, spec):
 def test_usage_error_is_exit_1(capsys):
     assert main(["group", "check"]) == 1  # --spec is required
     assert "input error" in capsys.readouterr().err
+
+
+_IRS = ["quad", "irs", "--spec", "abelian_R1", "--r", "-2", "--s", "-2"]
+_CERTIFY = ["kernel", "certify", "--spec", "heisenberg", "--family",
+            "model_power"]
+_EXTEND = ["extend", "run", "--spec", "abelian_R1", "--kernel",
+           "classical_abelian", "--gamma", "1", "--resolution", "12"]
+
+
+@pytest.mark.parametrize("argv", [
+    _CERTIFY + ["--gamma", "inf"], _CERTIFY + ["--gamma", "nan"],
+    _IRS + ["--eta-max", "nan"], _IRS + ["--eta-max", "-4"],
+    ["covering", "demo", "--alpha", "nan"],
+    _EXTEND + ["--a-list", "1,inf"],
+], ids=["gamma-inf", "gamma-nan", "eta-max-nan", "eta-max-negative",
+        "alpha-nan", "a-list-inf"])
+def test_non_finite_or_negative_float_is_input_error(tmp_path, dist_file,
+                                                     capsys, argv):
+    if argv[0] == "extend":
+        argv = argv + ["--dist", dist_file]
+    out = str(tmp_path / "out.json")
+    assert main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "finite" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 _GAUSS = {"kind": "gaussian", "params": {"width": 1.0}}

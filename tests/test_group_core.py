@@ -84,6 +84,19 @@ class TestGroupLaw:
             GroupSpec(name="bad", weights=(1, 1, 2),
                       structure=[((2, (1, 0, 0), (0, 0, 1)), Fraction(1))])
 
+    @pytest.mark.parametrize("structure", [
+        # multiplies exactly like heisenberg(), but index -1 is not a
+        # coordinate: the covering lattice would read no term for it
+        [((-1, (1, 0, 0), (0, 1, 0)), Fraction(1, 2)),
+         ((-1, (0, 1, 0), (1, 0, 0)), Fraction(-1, 2))],
+        [((5, (1, 0, 0), (0, 1, 0)), Fraction(1))],
+        [((2, (2, -1, 0), (1, 0, 0)), Fraction(1))],
+        [((2, (0.5, 0.5, 0), (1, 0, 0)), Fraction(1))],
+    ], ids=["k=-1", "k=5", "negative-exponent", "fractional-exponent"])
+    def test_structure_terms_are_validated(self, structure):
+        with pytest.raises(ValueError):
+            GroupSpec(name="bad", weights=(1, 1, 2), structure=structure)
+
     def test_json_roundtrip(self, tmp_path):
         G = random_step2(2, 1, seed=4)
         path = tmp_path / "g.json"
@@ -168,7 +181,7 @@ class TestNorms:
         # [DERIVED] Leb(B(0,1)) = 2 on (R, |x|), so kappa = 1/2
         N = HomogeneousNorm(abelian(1))
         assert_allclose(N.calibration(), 0.5, rtol=2e-3)
-        grid = Grid([0.0], [3.3], [3301], rule="midpoint")
+        grid = Grid([0.0], [3.3], [3301], rule="trapezoid")
         ball = lambda p: (N(p) <= 3.0).astype(float)
         assert_allclose(haar_integrate(ball, grid, N.calibration()), 3.0,
                         rtol=2e-3)

@@ -2,7 +2,8 @@
 every public name reaches a verdict, no module reaches into another
 object's private attributes, and each numerical idiom (the tensor grid,
 the finite-difference stencil, the kernel field, the support-box pruning,
-the certification sweep, the dilation) is called from one place only."""
+the certification sweep, the dilation, the batch budget) is called from
+one place only."""
 
 import ast
 from pathlib import Path
@@ -123,6 +124,31 @@ def test_zero_pairs_are_pruned_in_the_pair_loop_only():
     # that cuts a grid by coordinate
     assert {module for module, _ in callers("searchsorted")} \
         == {"quadrature.py"}
+
+
+def bound_names(source):
+    """Every name a module defines with def or binds by assignment, at
+    any depth; an import binds none."""
+    return {node.name if isinstance(node, ast.FunctionDef) else node.id
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+
+def test_one_batch_budget():
+    # _BATCH and _chunks live in quadrature.py alone, every chunked loop
+    # takes its slices from _chunks, and no 2 ** 16 pair step is left
+    defined = {(path.name, name) for path in SRC.glob("*.py")
+               for name in bound_names(path.read_text(encoding="utf-8"))
+               if name in ("_BATCH", "_chunks")}
+    assert defined == {("quadrature.py", "_BATCH"),
+                       ("quadrature.py", "_chunks")}
+    assert callers("_chunks") == {
+        ("quadrature.py", "convolve"), ("quadrature.py", "polar_integrate"),
+        ("weak_l1.py", "superlevel_measure"), ("weak_l1.py", "_distances"),
+        ("weak_l1.py", "_count_within"), ("weak_l1.py", "_hit_test")}
+    assert [path.name for path in SRC.glob("*.py")
+            if "2 ** 16" in path.read_text(encoding="utf-8")] == []
 
 
 def test_kernel_certificate_builds_one_pair_of_sweeps():

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
 from nilharmonics.quadrature import (
-    Grid, I_rs, approximate_identity, box_grid, check_map,
+    _BATCH, Grid, I_rs, approximate_identity, box_grid, check_map,
     convolve, haar_integrate, irs_bound_check, irs_majorant, polar_integrate,
 )
 
@@ -44,10 +44,10 @@ class TestHaar:
         G = heisenberg()
         N = HomogeneousNorm(G, "koranyi")
         cal = N.calibration()
-        g1 = box_grid(G, 1.0, 121, rule="midpoint")
+        g1 = box_grid(G, 1.0, 121, rule="trapezoid")
         vol1 = haar_integrate(lambda p: (N(p) <= 1.0).astype(float), g1, cal)
         assert_allclose(vol1, 1.0, rtol=1e-2)
-        g2 = box_grid(G, 2.0, 121, rule="midpoint")
+        g2 = box_grid(G, 2.0, 121, rule="trapezoid")
         vol2 = haar_integrate(lambda p: (N(p) <= 2.0).astype(float), g2, cal)
         assert_allclose(vol2, 2.0 ** 4, rtol=1e-2)
 
@@ -94,14 +94,15 @@ class TestConvolve:
 
     @pytest.mark.parametrize("form", ["first", "second"])
     def test_chunk_boundaries(self, form):
-        # 25^3 = 15625 grid points do not divide the 2^16-pair chunk, and
-        # 11 etas take three chunks (4 + 4 + 3 etas); a batched call must
-        # equal the eta-by-eta calls
+        # a pair spans n coordinates and one value, so with 25^3 = 15625
+        # grid points a chunk is 4 etas, and 11 etas take three chunks
+        # (4 + 4 + 3 etas); a batched call must equal the eta-by-eta calls
         G = heisenberg()
         f = lambda p: np.exp(-np.sum(p ** 2, axis=-1)) * (1.0 + p[..., 2])
         g = lambda p: np.exp(-2.0 * np.sum((p - 0.1) ** 2, axis=-1))
         grid = Grid([0.0] * 3, 3.0, 25)
-        assert 2 ** 16 % len(grid.flat_points) != 0
+        step = _BATCH // ((G.n + 1) * len(grid.flat_points))
+        assert 1 < step < 11 and 11 % step != 0
         etas = np.random.default_rng(8).uniform(-1, 1, (11, 3))
         batched = convolve(G, f, g, etas, grid, form=form)
         single = np.array([convolve(G, f, g, eta, grid, form=form)
@@ -181,6 +182,24 @@ class TestPolar:
         z = lambda p: np.zeros(p.shape[:-1])
         assert polar_integrate(z, self.N, 2.0) == 0.0
 
+    def test_batches_are_bounded(self):
+        # the (r, node) pairs go in chunks of at most _BATCH elements, a
+        # pair spanning n coordinates and one value, and a chunk holds at
+        # least one radius; every pair is evaluated once
+        G = heisenberg()
+        N = HomogeneousNorm(G, "even-power")
+        rho = N(box_grid(G, 1.2, 41, rule="trapezoid").flat_points)
+        nodes = np.count_nonzero((rho >= 1.0) & (rho <= 1.2))
+        sizes = []
+
+        def f(p):
+            sizes.append(p[..., 0].size)
+            return np.exp(-N(p))
+
+        polar_integrate(f, N, 5.0, n_r=201, resolution=41)
+        assert max(sizes) <= max(nodes, _BATCH // (G.n + 1))
+        assert sum(sizes) == 1 + 200 * nodes
+
     @pytest.mark.parametrize("s", [1.0, 2.0])
     def test_radial_power_two_paths(self, s):
         # [DERIVED] polar closed form: int_{|eta|<=R} |eta|^s = Q R^{Q+s}/(Q+s)
@@ -188,7 +207,7 @@ class TestPolar:
         got = polar_integrate(f, self.N, 2.0)
         want = 4.0 * 2.0 ** (4.0 + s) / (4.0 + s)
         assert 0.99 < got / want < 1.01
-        grid = box_grid(self.N.spec, 2.0, 101, rule="midpoint")
+        grid = box_grid(self.N.spec, 2.0, 101, rule="trapezoid")
         cart = haar_integrate(
             lambda p: np.where(self.N(p) <= 2.0, f(p), 0.0), grid,
             self.N.calibration())
