@@ -15,7 +15,6 @@ the weight and of the dilated kernel.
 from __future__ import annotations
 
 import numpy as np
-import sympy
 
 from .calculus import OperatorWord, leibniz_tilde_coeff, \
     sub_multi_indices, words_upto_weight
@@ -26,17 +25,17 @@ from .quadrature import Grid, _evaluate, _grading_for, box_grid, convolve
 
 
 def flat_top_profile():
-    """C^2 profile equal to 1 for u <= 1, gliding to 0 on [1, 2] along the
-    smoothstep quintic 10v^3 - 15v^4 + 6v^5, whose first and second
-    derivatives vanish at both ends; paired with the gauge polynomial it
-    gives a test function equal to 1 on the unit ball.  (The weight's
-    bridge is a different quintic: it meets slope 1, not a flat top.)"""
-    u = sympy.Symbol("u")
-    v = u - 1
-    expr = sympy.Piecewise(
-        (1, u <= 1),
-        (1 - (10 * v ** 3 - 15 * v ** 4 + 6 * v ** 5), u < 2))
-    return Profile(expr, support_cap=2.0, name="flat_top")
+    """C^2 profile equal to 1 for u <= 1 and s(2 - u) on [1, 2], with s the
+    smoothstep quintic w^3 (10 - 15w + 6w^2) (flat at w = 0 and 1, and not
+    below 0 next to the cap, as it would round in u - 1); paired with the
+    gauge polynomial it gives a test function equal to 1 on the unit ball.
+    (The weight's bridge is another quintic: it meets slope 1, not 0.)"""
+    def glide(u):
+        w = 2 - u
+        return w * w * w * (10 + w * (6 * w - 15))
+
+    return Profile([(lambda u: 1.0, lambda u: u <= 1), (glide, None)],
+                   support_cap=2.0, name="flat_top")
 
 
 class TestFunction:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .polynomials import Polynomial, Profile, SmoothField
 
@@ -54,8 +53,9 @@ class GroupSpec:
                                     if isinstance(self.structure, dict)
                                     else self.structure):
             alpha, beta = tuple(alpha), tuple(beta)
-            if not 0 <= k < self.n:
+            if not (float(k).is_integer() and 0 <= k < self.n):
                 raise ValueError(f"no coordinate {k} in dimension {self.n}")
+            k = int(k)
             if len(alpha) != self.n or len(beta) != self.n:
                 raise ValueError("multi-index length mismatch")
             if any(p < 0 or not float(p).is_integer() for p in alpha + beta):
@@ -157,7 +157,7 @@ class GroupSpec:
                 "n", len(data["weights"])) != len(data["weights"]):
             raise ValueError("weights must be a list of n fraction strings")
         weights = tuple(Fraction(w) for w in data["weights"])
-        structure = [((int(s["k"]), tuple(s["alpha"]), tuple(s["beta"])),
+        structure = [((float(s["k"]), tuple(s["alpha"]), tuple(s["beta"])),
                       Fraction(s["c"])) for s in data.get("structure", [])]
         return cls(name=data.get("name", "unnamed"), weights=weights,
                    structure=structure)
@@ -292,15 +292,14 @@ def weight_field(norm: HomogeneousNorm, mu):
     unique monotone quintic with C^2 contact, Phi(1 + v) =
     1 + 6v^3 - 8v^4 + 3v^5.  Invariant derivatives of the weight are
     exact."""
-    M = norm.M
-    u = sympy.Symbol("u")
-    x = u ** sympy.Rational(1, 2 * M)
-    v = x - 1
-    bridge = 1 + 6 * v ** 3 - 8 * v ** 4 + 3 * v ** 5
-    mu_s = sympy.nsimplify(mu, rational=True)
-    expr = sympy.Piecewise(
-        (sympy.Integer(2) ** mu_s, u <= 1),
-        ((1 + bridge) ** mu_s, u < sympy.Integer(2) ** (2 * M)),
-        ((1 + x) ** mu_s, True))
-    prof = Profile(expr, name=f"omega({mu})")
+    x = 1 / (2 * norm.M)  # u ** x = |eta|, away from 0 past the unit ball
+
+    def bridged(u):
+        v = u ** x - 1
+        return (2 + v * v * v * (6 + v * (3 * v - 8))) ** mu
+
+    prof = Profile([(lambda u: 2.0 ** mu, lambda u: u <= 1),
+                    (bridged, lambda u: u < 2.0 ** (2 * norm.M)),
+                    (lambda u: (1 + u ** x) ** mu, None)],
+                   name=f"omega({mu})")
     return SmoothField(norm.gauge_polynomial(), prof)

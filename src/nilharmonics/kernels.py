@@ -23,7 +23,6 @@ needs no certificate code.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gamma as gamma_fn
 
 import numpy as np
@@ -31,7 +30,6 @@ import numpy as np
 from .calculus import OperatorWord, build_conversion, words_upto_weight
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .polynomials import Polynomial, Profile, SmoothField
-import sympy
 
 
 class KernelSpec:
@@ -59,12 +57,9 @@ class KernelSpec:
             / norm.calibration()
         self.c = 1.0 / m if family == "classical_abelian" else 1.0
         self.mass = self.c * m
-        expo = -Fraction(self.Gamma + float(spec.Q)).limit_denominator(
-            10 ** 6) / (2 * norm.M)
-        prof = (1 + sympy.Symbol("u")) ** sympy.Rational(expo.numerator,
-                                                         expo.denominator)
+        expo = -(self.Gamma + float(spec.Q)) / (2 * norm.M)
         self.field = SmoothField(norm.gauge_polynomial(), Profile(
-            prof if self.c == 1.0 else self.c * prof, name=family))
+            lambda u: self.c * (1 + u) ** expo, name=family))
 
     def __call__(self, eta):
         return self.field.eval(eta)

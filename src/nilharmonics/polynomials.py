@@ -10,15 +10,16 @@ converts to float and is vectorized over numpy arrays of points.
 g^(k)(N(theta))`` with ``N`` a polynomial and ``g`` a smooth scalar profile.
 This class is closed under polynomial-coefficient first-order differential
 operators, which is what makes exact derivatives of kernels, gaussians and
-bump functions available everywhere.
+bump functions available everywhere.  The derivatives g^(k) come from one
+truncated Taylor series (``Jet``) of g per evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 
 def _as_coeff(c):
@@ -163,60 +164,130 @@ class Polynomial:
         return "Polynomial(" + " + ".join(parts) + ")"
 
 
+def _zero(a):
+    """A float zero: a coefficient that products skip."""
+    return not isinstance(a, np.ndarray) and a == 0
+
+
+def _series(terms):
+    """Sum of the products a * b over the (a, b) terms in order, skipping
+    every term with a float zero factor; 0.0 when no term is left."""
+    total = None
+    for a, b in terms:
+        if not (_zero(a) or _zero(b)):
+            if total is None:
+                total = a * b
+            else:
+                total += a * b  # total is a fresh product: no operand
+    return 0.0 if total is None else total
+
+
+class Jet:
+    """Truncated Taylor series of g at the points u: coefficient j is
+    g^(j)(u) / j!, an array of u's shape or a float where it is constant.
+
+    Closed under +, -, * and exp, and under real powers through
+    n f_0 h_n = sum_j (pj - (n - j)) f_j h_{n-j} (Griewank and Walther,
+    Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13), which divides by
+    f_0: a real power acts only where the base stays away from 0."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        self.c = list(coeffs)
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return Jet(a + b for a, b in zip(self.c, other.c))
+        return Jet([self.c[0] + other, *self.c[1:]])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __rsub__(self, other):
+        return Jet([other - self.c[0], *(-a for a in self.c[1:])])
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return self if other == 1 else Jet(a * other for a in self.c)
+        f, g = self.c, other.c
+        return Jet(_series((f[j], g[n - j]) for j in range(n + 1))
+                   for n in range(len(f)))
+
+    __rmul__ = __mul__
+
+    def exp(self):
+        f, h = self.c, [np.exp(self.c[0])]
+        for n in range(1, len(f)):
+            h.append(_series((j / n * f[j], h[n - j])
+                             for j in range(1, n + 1)))
+        return Jet(h)
+
+    def __pow__(self, p):
+        f = self.c
+        if len(f) == 1:
+            return Jet([f[0] ** p])
+        # q[m] = h_m / f_0: h_1 = p f_1 f_0^(p-1) needs no division, and
+        # h_0 = q_0 f_0 is formed last, in the array of q_0
+        q, h = [f[0] ** (p - 1)], [None]
+        for n in range(1, len(f)):
+            h.append(_series(((p * j - (n - j)) / n * f[j], q[n - j])
+                             for j in range(1, n + 1)))
+            if n + 1 < len(f):
+                q.append(h[n] if _zero(h[n]) else h[n] / f[0])
+        q[0] *= f[0]
+        h[0] = q[0]
+        return Jet(h)
+
+
 class Profile:
-    """Scalar profile g(u) with exact derivatives via sympy.
+    """Scalar profile g(u) with exact derivatives from one jet.
 
-    A profile may be piecewise in u: each branch is evaluated only where
-    its condition is the first to hold.  ``support_cap=c`` is shorthand
-    for the branches (g, u < c), (0, True), which is how compactly
-    supported bump profiles avoid overflow.
-    """
+    ``branches`` is a function of the jet of u, or a list of (function,
+    condition) pairs: each function runs only on the points where its
+    condition, a boolean function of u (None: every point left), is the
+    first to hold, and the profile is 0 where none holds.  ``support_cap=c``
+    makes the profile 0 at u >= c, where no branch runs.  ``expr`` is the
+    branch tuple."""
 
-    def __init__(self, expr, support_cap=None, name="profile"):
-        u = sympy.Symbol("u")
-        if callable(expr) and not isinstance(expr, sympy.Expr):
-            expr = expr(u)
-        self.u = u
-        self.expr = sympy.sympify(expr)
-        if support_cap is not None:
-            self.expr = sympy.piecewise_fold(
-                sympy.Piecewise((self.expr, u < support_cap), (0, True)))
+    def __init__(self, branches, support_cap=None, name="profile"):
+        self.expr = tuple(branches) if isinstance(branches, list) \
+            else ((branches, None),)
         self.support_cap = support_cap
         self.name = name
-        self._derivs = {}
 
     def deriv_fn(self, k):
-        """The k-th derivative as a callable: a fresh float array of u's
-        shape, 0 on points left to trailing zero branches."""
-        if k not in self._derivs:
-            pieces = [(sympy.diff(val, self.u, k), cond) for val, cond in (
-                self.expr.args if isinstance(self.expr, sympy.Piecewise)
-                else [(self.expr, sympy.true)])]
-            while pieces and pieces[-1][0] == 0:
-                pieces.pop()
-            whole = len(pieces) == 1 and pieces[0][1] is sympy.true
-            branches = [(None if val == 0 else
-                         sympy.lambdify(self.u, val, modules="numpy"),
-                         sympy.lambdify(self.u, cond, modules="numpy"))
-                        for val, cond in pieces]
+        """u -> [g(u), g'(u), ..., g^(k)(u)], all from one jet of order k:
+        fresh float arrays of u's shape."""
+        def evaluate(u):
+            u = np.asarray(u, dtype=float)
+            out = [None] * (k + 1)
+            # ... indexes every point, as a view
+            rest = ... if self.support_cap is None else u < self.support_cap
+            for fn, cond in self.expr:
+                m = rest if cond is None else cond(u) if rest is ... \
+                    else rest & cond(u)
+                jet = fn(Jet([u[m], 1.0, *[0.0] * k][:k + 1]))
+                for j, c in enumerate(jet.c if isinstance(jet, Jet)
+                                      else [jet]):
+                    if _zero(c):
+                        continue
+                    c = c * math.factorial(j) if j > 1 else c
+                    if m is ... and isinstance(c, np.ndarray) \
+                            and c.base is None:  # a fresh array of u's shape
+                        out[j] = c
+                        continue
+                    if out[j] is None:
+                        out[j] = np.zeros(u.shape)
+                    out[j][m] = c
+                if cond is None:
+                    break
+                rest = ~m if rest is ... else rest & ~m
+            return [np.zeros(u.shape) if d is None else d for d in out]
 
-            def evaluate(u):
-                u = np.asarray(u, dtype=float)
-                if whole:
-                    vals = np.asarray(branches[0][0](u), dtype=float)
-                    return vals if vals.shape == u.shape and vals is not u \
-                        else np.broadcast_to(vals, u.shape).copy()
-                out, rest = np.zeros(u.shape), None
-                for i, (val, cond) in enumerate(branches):
-                    m = cond(u) if rest is None else rest & cond(u)
-                    if val is not None:
-                        out[m] = val(u[m])
-                    if i + 1 < len(branches):
-                        rest = ~m if rest is None else rest & ~m
-                return out
-
-            self._derivs[k] = evaluate
-        return self._derivs[k]
+        return evaluate
 
     def eval_deriv(self, k, u):
         return self.deriv_fn(k)(u)
@@ -224,7 +295,7 @@ class Profile:
 
 def gaussian_profile(scale=1.0, width=1.0):
     """g(u) = scale * exp(-u / (2 width^2)); pair with N = sum theta_k^2."""
-    return Profile(lambda u: scale * sympy.exp(-u / (2 * width ** 2)),
+    return Profile(lambda u: scale * (u * (-0.5 / width ** 2)).exp(),
                    name="gaussian")
 
 
@@ -255,10 +326,11 @@ class SmoothField:
     def eval(self, theta):
         theta = np.asarray(theta, dtype=float)
         u = self.base.eval(theta)
+        derivs = self.profile.eval_deriv(max(self.terms, default=0), u)
         out = np.zeros(theta.shape[:-1])
         for k, poly in self.terms.items():
             out += (float(poly.constant_term()) if poly.is_constant()
-                    else poly.eval(theta)) * self.profile.eval_deriv(k, u)
+                    else poly.eval(theta)) * derivs[k]
         return out
 
     def __call__(self, theta):

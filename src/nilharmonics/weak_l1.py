@@ -434,6 +434,8 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
     """
     Q = float(spec.Q)
     rng = np.random.default_rng(seed)
+    if alpha <= 0 or Gamma <= 0 or depth < 0:
+        raise ValueError("alpha and Gamma must be positive, depth >= 0")
     if 2.0 ** (i0 - depth - 3) < 1e-9:
         raise ValueError("depth underflows the piece width")
     cal = norm.calibration()

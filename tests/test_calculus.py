@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import sympy
 from fractions import Fraction
 from numpy.testing import assert_allclose
 
@@ -37,8 +36,9 @@ def heis_bump(shift=(0.0, 0.0, 0.0), radius=2.0, profile=None):
         n, Fraction(sum(s * s for s in shift)).limit_denominator(10 ** 6))
     scaled = Polynomial(n, {e: c / Fraction(radius) ** 2
                             for e, c in base.coeffs.items()})
+    # exp(1 + 1/(u - 1)), with the base 1 - u > 0 below the cap
     return SmoothField(scaled, profile or Profile(
-        lambda u: sympy.exp(1 + 1 / (u - 1)), support_cap=1.0, name="bump"))
+        lambda u: (1 - (1 - u) ** -1).exp(), support_cap=1.0, name="bump"))
 
 
 class TestFields:

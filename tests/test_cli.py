@@ -115,8 +115,11 @@ def _heis_terms(*terms):
     _heis_terms((5, [1, 0, 0], [0, 1, 0], "1")),
     _heis_terms((2, [2, -1, 0], [1, 0, 0], "1")),
     _heis_terms((2, [0.5, 0.5, 0], [1, 0, 0], "1")),
+    # int() would read coordinate 2, the Heisenberg bracket
+    _heis_terms((2.7, [1, 0, 0], [0, 1, 0], "1/2"),
+                (2.7, [0, 1, 0], [1, 0, 0], "-1/2")),
 ], ids=["string-weights", "n-mismatch", "k=-1", "k=5", "negative-exponent",
-        "fractional-exponent"])
+        "fractional-exponent", "fractional-k"])
 def test_malformed_group_is_input_error(tmp_path, capsys, spec):
     path = tmp_path / "group.json"
     path.write_text(json.dumps(spec))
@@ -464,6 +467,30 @@ def test_weakl1_run_vacuous_level(tmp_path, measure_file):
         with open(path, encoding="utf-8") as fh:
             json.load(fh, parse_constant=_refuse_constant)
     assert payload["report"]["min_U_on_pieces"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gamma", "-1"], ["--depth", "-1"], ["--alpha", "0"], ["--alpha", "-5"],
+    ["covering", "demo", "--alpha", "-1"],
+], ids=["gamma-negative", "depth-negative", "alpha-zero", "alpha-negative",
+        "demo-alpha-negative"])
+def test_covering_parameter_out_of_range_is_input_error(tmp_path, capsys,
+                                                        argv):
+    # no piece is authorized at a negative Gamma or depth, a zero alpha
+    # divides by zero, and a negative one fails the chain: none of them is
+    # a measured check
+    measure = tmp_path / "nu.json"
+    measure.write_text(json.dumps({"atoms": [{"xi": [0.0, 0.0, 0.0],
+                                              "w": 1.0}]}))
+    if argv[0] != "covering":
+        argv = ["weakl1", "run", "--spec", "heisenberg", "--gamma", "1",
+                "--measure", str(measure), "--alpha", "1", "--i0", "2",
+                "--depth", "3"] + argv
+    out = str(tmp_path / "w.json")
+    assert main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_covering_demo_defaults(tmp_path):

@@ -1,11 +1,13 @@
-"""Source hygiene: every name a module imports is used in that module,
-every public name reaches a verdict, no module reaches into another
+"""Source hygiene: src/ imports numpy and the standard library only,
+every name a module imports is used in that module, every public name
+reaches a verdict, no module reaches into another
 object's private attributes, and each numerical idiom (the tensor grid,
 the finite-difference stencil, the kernel field, the support-box pruning,
 the certification sweep, the dilation, the batch budget) is called from
 one place only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -172,10 +174,32 @@ def test_kernels_build_one_field():
         == ["__init__"]
 
 
-def test_profiles_are_lambdified_in_one_place():
-    # Profile.deriv_fn evaluates piecewise profiles branch by branch, so no
-    # discarded branch has warnings to hide
-    assert callers("lambdify") == {("polynomials.py", "deriv_fn")}
+def imported_packages(source):
+    """The top-level package of every absolute import of a module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_packages_are_found():
+    source = ("import os.path\nimport numpy as np, sympy\n"
+              "from fractions import Fraction\nfrom .group_core import Q\n")
+    assert imported_packages(source) == {"os", "numpy", "sympy",
+                                         "fractions"}
+
+
+def test_src_imports_numpy_and_the_standard_library_only():
+    # profile derivatives come from jets, so no computer algebra is loaded
+    # at run time (sympy is a test oracle); each branch of a profile runs
+    # only on its own points, so no discarded branch has warnings to hide
+    assert {(path.name, package) for path in SRC.glob("*.py")
+            for package in imported_packages(path.read_text(
+                encoding="utf-8"))
+            if package not in sys.stdlib_module_names | {"numpy"}} == set()
     assert callers("errstate") == set()
 
 

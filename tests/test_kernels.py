@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate as si
-import sympy
 from numpy.testing import assert_allclose
 
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
@@ -232,19 +231,18 @@ class TestCertify:
             assert_allclose(np.max(rings), R, rtol=1e-12)
 
     @pytest.mark.parametrize("kernel,exponent,unstable", [
-        (classical, sympy.Rational(-1, 2), "comparability_upper"),
-        (classical, sympy.Rational(-3, 2), "comparability_lower"),
-        (heis_kernel, sympy.Integer(-1), "comparability_upper"),
-        (heis_kernel, sympy.Rational(-3, 2), "comparability_lower")],
+        (classical, -1 / 2, "comparability_upper"),
+        (classical, -3 / 2, "comparability_lower"),
+        (heis_kernel, -1.0, "comparability_upper"),
+        (heis_kernel, -3 / 2, "comparability_lower")],
         ids=["R1-slow", "R1-fast", "heisenberg-slow", "heisenberg-fast"])
     def test_wrong_profile_exponent_fails(self, kernel, exponent, unstable):
         # a profile decaying slower (faster) than omega_{-Q-Gamma} breaks
         # the upper (lower) comparability first, the estimate that
         # `kernel certify` names
         P = kernel()
-        u = sympy.Symbol("u")
         P.field = SmoothField(P.field.base, Profile(
-            P.c * (1 + u) ** exponent, name="perturbed"))
+            lambda u: P.c * (1 + u) ** exponent, name="perturbed"))
         rep = certify_RGamma(P)
         assert not rep["passed"]
         assert next(name for name, est in rep["estimates"].items()
@@ -269,9 +267,8 @@ class TestHarmonicity:
     def test_wrong_profile_exponent_fails(self, n):
         # (1+|x|^2)^{-n/2} in place of the harmonic -(n+1)/2
         P = classical(n)
-        u = sympy.Symbol("u")
         P.field = SmoothField(P.field.base, Profile(
-            P.c * (1 + u) ** sympy.Rational(-n, 2), name="perturbed"))
+            lambda u: P.c * (1 + u) ** (-n / 2), name="perturbed"))
         rng = np.random.default_rng(4)
         pts = np.vstack([np.zeros((1, n)), rng.uniform(-3, 3, (20, n))])
         res = harmonicity_residual(P, pts, np.array([0.5, 1.0, 2.0]))

@@ -1,19 +1,21 @@
 """Polynomial and SmoothField evaluation: powers are chains of products
 in a fixed order, constant term polynomials are applied as floats,
-uncapped profiles broadcast a constant derivative, and piecewise profiles
-run each branch only where its condition is the first to hold."""
+profiles run each branch only where its condition is the first to hold,
+and every profile derivative from a jet matches sympy's at 30 digits."""
 
+import functools
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_array_equal
-from sympy.utilities.lambdify import implemented_function
 
 from nilharmonics.distributions import flat_top_profile
 from nilharmonics.group_core import (
-    HomogeneousNorm, abelian, heisenberg, weight_field,
+    GroupSpec, HomogeneousNorm, abelian, heisenberg, weight_field,
 )
 from nilharmonics.polynomials import (
     Polynomial, Profile, SmoothField, gaussian_profile,
@@ -31,7 +33,7 @@ def explicit_sum(field, theta):
     u = field.base.eval(theta)
     acc = np.zeros(theta.shape[:-1])
     for k, poly in field.terms.items():
-        acc = acc + poly.eval(theta) * field.profile.eval_deriv(k, u)
+        acc = acc + poly.eval(theta) * field.profile.eval_deriv(k, u)[k]
     return acc
 
 
@@ -49,19 +51,22 @@ def test_field_eval_equals_the_explicit_sum(terms):
     assert field.eval(THETA[0, 0]).shape == ()
 
 
-@pytest.mark.parametrize("expr, k", [
-    (lambda u: 3 * u + sympy.exp(-u), 0),  # a varying derivative
+@pytest.mark.parametrize("g, k", [
+    (lambda u: 3 * u + (u * -1).exp(), 0),  # a varying derivative
     (lambda u: 3 * u, 1),  # a constant derivative, broadcast
     (lambda u: u, 0),  # the derivative is u itself
 ])
-def test_uncapped_eval_deriv_is_a_fresh_array_of_u(expr, k):
-    prof = Profile(expr)
+def test_uncapped_eval_deriv_is_a_fresh_array_of_u(g, k):
+    prof = Profile(g)
     u = np.linspace(-2.0, 3.0, 12).reshape(3, 4)
     kept = u.copy()
-    got = prof.eval_deriv(k, u)
-    want = np.asarray(prof.deriv_fn(k)(kept), dtype=float) * np.ones_like(u)
-    assert got.shape == u.shape and got.dtype == float
-    assert got.flags.writeable and not np.shares_memory(got, u)
+    derivs = prof.eval_deriv(k, u)
+    got = derivs[k]
+    want = np.asarray(prof.deriv_fn(k)(kept)[k], dtype=float) \
+        * np.ones_like(u)
+    for d in derivs:
+        assert d.shape == u.shape and d.dtype == float
+        assert d.flags.writeable and not np.shares_memory(d, u)
     assert_array_equal(got, want)
     got += 1.0
     assert_array_equal(u, kept)
@@ -82,64 +87,160 @@ def test_poly_eval_is_the_product_of_repeated_powers():
 
 def test_each_branch_sees_only_its_own_points():
     seen = []
-    g = implemented_function(
-        "g", lambda x: seen.append(np.size(x)) or np.full(np.shape(x), 3.0))
-    u = sympy.Symbol("u")
+
+    def g(u):
+        seen.append(np.size(u.c[0]))
+        return 3.0
+
     grid = np.linspace(0.0, 2.0, 9)
-    piecewise = Profile(sympy.Piecewise((2, u <= 0.5), (g(u), u < 1),
-                                        (0, True)))
-    assert_array_equal(piecewise.eval_deriv(0, grid),
+    piecewise = Profile([(lambda u: 2.0, lambda u: u <= 0.5),
+                         (g, lambda u: u < 1)])
+    assert_array_equal(piecewise.eval_deriv(0, grid)[0],
                        [2, 2, 2, 3, 0, 0, 0, 0, 0])
-    capped = Profile(g(u), support_cap=1.0)
-    assert_array_equal(capped.eval_deriv(0, grid),
+    capped = Profile(g, support_cap=1.0)
+    assert_array_equal(capped.eval_deriv(0, grid)[0],
                        [3, 3, 3, 3, 0, 0, 0, 0, 0])
     assert seen == [1, 4]
 
 
-@pytest.mark.parametrize("spec", [abelian(1), heisenberg()],
-                         ids=["R1", "heisenberg"])
-@pytest.mark.parametrize("mu", [5, -5.5])
-def test_weight_equals_the_whole_expression_lambdify(spec, mu):
-    norm = HomogeneousNorm(spec)
-    prof = weight_field(norm, mu).profile
-    rng = np.random.default_rng(7)
-    u = np.concatenate([[0.0, 1.0, 2.0 ** (2 * norm.M)],
-                        rng.uniform(0.0, 2.0 ** (2 * norm.M + 1), 4096),
-                        rng.uniform(0.0, 1e6, 64)])
-    for k in range(3):
-        whole = sympy.lambdify(prof.u, sympy.diff(prof.expr, prof.u, k),
-                               modules="numpy")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = np.asarray(whole(u), dtype=float)
-        assert_array_equal(prof.eval_deriv(k, u), want)
+def bump(u):
+    """The jet of 1.5 exp(1 + 1/(u - 1)), written with the base 1 - u > 0
+    below the cap."""
+    return 1.5 * (1 - (1 - u) ** -1).exp()
 
 
-def flat_top_below_its_cap(u):
-    v = u - 1
-    return sympy.Piecewise((1, u <= 1),
-                           (1 - (10 * v ** 3 - 15 * v ** 4 + 6 * v ** 5),
-                            u < 2))
-
-
-@pytest.mark.parametrize("prof, g, cap", [
-    (Profile(lambda u: 1.5 * sympy.exp(1 + 1 / (u - 1)), support_cap=1.0),
-     lambda u: 1.5 * sympy.exp(1 + 1 / (u - 1)), 1.0),
-    (poly_bump_profile(2.0, 6), lambda u: 2.0 * (1 - u) ** 6, 1.0),
-    (flat_top_profile(), flat_top_below_its_cap, 2.0),
+@pytest.mark.parametrize("prof, uncapped, cap", [
+    (Profile(bump, support_cap=1.0), Profile(bump), 1.0),
+    (poly_bump_profile(2.0, 6), Profile(lambda u: 2.0 * (1 - u) ** 6), 1.0),
+    (flat_top_profile(), Profile(list(flat_top_profile().expr)), 2.0),
 ], ids=["bump", "poly_bump", "flat_top"])
-def test_capped_profiles_equal_the_masked_reference(prof, g, cap):
-    # the reference evaluates g where u < cap - 1e-12 and is 0 elsewhere;
-    # the branches agree with it off [cap - 1e-12, cap)
+def test_capped_profiles_equal_the_masked_reference(prof, uncapped, cap):
+    # the reference evaluates the uncapped branches where u < cap and is 0
+    # elsewhere
     u = np.concatenate([[0.0, 1.0, 2.0, cap, cap - 1e-11, cap + 1e-12],
                         np.linspace(-0.5, 3.0, 1001)])
-    u = u[(u < cap - 1e-12) | (u >= cap)]
-    mask = u < cap - 1e-12
-    for k in range(3):
-        d = sympy.lambdify(prof.u, sympy.diff(g(prof.u), prof.u, k),
-                           modules="numpy")
+    mask = u < cap
+    inside = uncapped.eval_deriv(2, u[mask])
+    for got, below in zip(prof.eval_deriv(2, u), inside):
         want = np.zeros_like(u)
-        want[mask] = d(u[mask])
-        assert_array_equal(prof.eval_deriv(k, u), want)
+        want[mask] = below
+        assert_array_equal(got, want)
+
+
+# -- the jets against sympy --------------------------------------------------
+
+U = sympy.Symbol("u")
+ORDER = 6  # g^(k) for k <= ORDER
+NORMS = {1: HomogeneousNorm(abelian(1)), 2: HomogeneousNorm(heisenberg()),
+         3: HomogeneousNorm(GroupSpec(name="weights_1_3", weights=(1, 3)))}
+SCALE = st.floats(0.1, 10.0)
+# a subnormal exponent makes every g^(k) subnormal, where no float has
+# 12 digits
+EXPONENT = st.floats(-8.0, 8.0, allow_subnormal=False)
+
+
+def omega_family(M):
+    """omega_mu on a gauge with exponent 2M, in the closed form of
+    group_core.weight_field."""
+    mu = sympy.Symbol("mu")
+    x = U ** sympy.Rational(1, 2 * M)
+    # expanded in powers of x, which keeps the derivatives small
+    bridge = sympy.expand(1 + 6 * (x - 1) ** 3 - 8 * (x - 1) ** 4
+                          + 3 * (x - 1) ** 5)
+    return ({"mu": EXPONENT},
+            lambda mu: weight_field(NORMS[M], mu).profile,
+            [(2 ** mu, lambda u: u <= 1),
+             ((1 + bridge) ** mu, lambda u: u < 2 ** (2 * M)),
+             ((1 + x) ** mu, lambda u: True)],
+            None, [1.0, 2.0 ** (2 * M)], 2.0 ** (2 * M + 1))
+
+
+def families():
+    """name -> (parameter strategies, profile builder, sympy branches
+    (expression, first-match condition), support cap, branch points, the
+    top of the u range)."""
+    c, p, s, w, q = sympy.symbols("c p s w q")
+    v = U - 1
+    return {
+        "power": ({"c": SCALE, "p": EXPONENT},
+                  lambda c, p: Profile(lambda u: c * (1 + u) ** p),
+                  [(c * (1 + U) ** p, lambda u: True)], None, [], 50.0),
+        "gaussian": ({"s": SCALE, "w": st.floats(0.2, 5.0)},
+                     lambda s, w: gaussian_profile(s, w),
+                     [(s * sympy.exp(-U / (2 * w ** 2)), lambda u: True)],
+                     None, [], 20.0),
+        "capped_power": ({"s": SCALE, "q": st.floats(0.05, 8.0)},
+                         lambda s, q: poly_bump_profile(s, q),
+                         [(s * (1 - U) ** q, lambda u: True)], 1.0, [1.0],
+                         1.5),
+        "flat_top": ({}, flat_top_profile,
+                     [(sympy.Integer(1), lambda u: u <= 1),
+                      (1 - (10 * v ** 3 - 15 * v ** 4 + 6 * v ** 5),
+                       lambda u: True)], 2.0, [1.0, 2.0], 3.0),
+        "omega_M1": omega_family(1),
+        "omega_M2": omega_family(2),
+        "omega_M3": omega_family(3),
+        "bump": ({"s": SCALE},
+                 lambda s: Profile(lambda u: s * (1 - (1 - u) ** -1).exp(),
+                                   support_cap=1.0),
+                 [(s * sympy.exp(1 + 1 / (U - 1)), lambda u: True)], 1.0,
+                 [1.0], 1.5),
+    }
+
+
+FAMILIES = families()
+
+
+@functools.cache
+def oracle(name):
+    """Per branch, g^(k) for k <= ORDER as mpmath functions of u and the
+    family's parameters, in the order of their strategies."""
+    strategies, _, branches, *_ = FAMILIES[name]
+    params = sympy.symbols(list(strategies))
+    out = []
+    for expr, _ in branches:
+        derivs = [expr]
+        for _ in range(ORDER):
+            derivs.append(sympy.diff(derivs[-1], U))
+        out.append(sympy.lambdify((U, *params), derivs, modules="mpmath",
+                                  cse=True))
+    return out
+
+
+def points(joins, top):
+    """Each branch point and the points 1e-12 and 1e-9 away on both of its
+    sides, 9 even points of [0, top], so that the largest |g^(k)| of a draw
+    is the profile's own scale, and up to 8 random points of [0, top]."""
+    near = [b + d for b in joins for d in (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)]
+    return st.lists(st.floats(0.0, top), max_size=8).map(
+        lambda drawn: np.array(near + list(np.linspace(0.0, top, 9))
+                               + drawn))
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_jet_derivatives_match_sympy(name, data):
+    # each branch's derivative at 30 digits on the points where it is the
+    # first to hold, and 0 at or past the cap; the error of g^(k) is at most
+    # 1e-12 of the largest |g^(k)| of the draw
+    strategies, build, branches, cap, joins, top = FAMILIES[name]
+    params = {key: data.draw(strat, label=key)
+              for key, strat in strategies.items()}
+    u = data.draw(points(joins, top), label="u")
+    want = np.zeros((ORDER + 1, u.size))
+    with mpmath.workdps(30):
+        for i, point in enumerate(u):
+            if cap is not None and point >= cap:
+                continue
+            derivs = oracle(name)[next(b for b, (_, holds) in enumerate(
+                branches) if holds(point))]
+            want[:, i] = [float(d) for d in derivs(*map(
+                mpmath.mpf, (point, *params.values())))]
+    got = build(**params).eval_deriv(ORDER, u)
+    for k in range(ORDER + 1):
+        assert np.max(np.abs(got[k] - want[k])) \
+            <= 1e-12 * np.max(np.abs(want[k]))
 
 
 def shifted_ball(radius, shift, profile):
