@@ -194,14 +194,17 @@ FAMILIES = families()
 @functools.cache
 def oracle(name):
     """Per branch, g^(k) for k <= ORDER as mpmath functions of u and the
-    family's parameters, in the order of their strategies."""
+    family's parameters, in the order of their strategies.
+
+    Each g^(k) is differentiated from g itself: sympy then keeps the common
+    factor of c (1 +- u)^p in front of a polynomial in p, an exact 0 at an
+    integer p < k.  Repeated differentiation expands that polynomial into
+    terms of size |1 +- u|^(p - k), which cancel only to 30 digits."""
     strategies, _, branches, *_ = FAMILIES[name]
     params = sympy.symbols(list(strategies))
     out = []
     for expr, _ in branches:
-        derivs = [expr]
-        for _ in range(ORDER):
-            derivs.append(sympy.diff(derivs[-1], U))
+        derivs = [sympy.diff(expr, U, k) for k in range(ORDER + 1)]
         out.append(sympy.lambdify((U, *params), derivs, modules="mpmath",
                                   cse=True))
     return out
@@ -241,6 +244,31 @@ def test_jet_derivatives_match_sympy(name, data):
     for k in range(ORDER + 1):
         assert np.max(np.abs(got[k] - want[k])) \
             <= 1e-12 * np.max(np.abs(want[k]))
+
+
+@pytest.mark.parametrize("spec", [abelian(1), heisenberg()],
+                         ids=["R1", "heisenberg"])
+@pytest.mark.parametrize("mu", [5, -5.5])
+def test_weight_equals_the_whole_expression_lambdify(spec, mu):
+    # omega's branch-wise jets against one sympy Piecewise of its closed
+    # form, differentiated whole and evaluated at 30 digits; 0 where the
+    # Piecewise's derivative is 0
+    norm = HomogeneousNorm(spec)
+    M = norm.M
+    _, _, branches, *_ = omega_family(M)
+    value = {sympy.Symbol("mu"): sympy.nsimplify(mu)}
+    whole = sympy.Piecewise(*zip((e.subs(value) for e, _ in branches),
+                                 (U <= 1, U < 2 ** (2 * M), True)))
+    rng = np.random.default_rng(7)
+    u = np.concatenate([[0.0, 1.0, 2.0 ** (2 * M)],
+                        rng.uniform(0.0, 2.0 ** (2 * M + 1), 4096),
+                        rng.uniform(0.0, 1e6, 64)])
+    got = weight_field(norm, mu).profile.eval_deriv(2, u)
+    for k in range(3):
+        deriv = sympy.lambdify(U, sympy.diff(whole, U, k), modules="mpmath")
+        with mpmath.workdps(30):
+            want = np.array([float(deriv(mpmath.mpf(p))) for p in u])
+        np.testing.assert_allclose(got[k], want, rtol=1e-11, atol=0.0)
 
 
 def shifted_ball(radius, shift, profile):
