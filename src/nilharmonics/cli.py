@@ -81,9 +81,13 @@ def _calculus_identities(plan, spec):
 
 
 def _quad_irs(plan, spec):
+    eta_max = plan["params"]["eta_max"]
+    if not 0 < eta_max < np.inf:  # the sweep is geometric from 0.25
+        raise InputError(f"--eta-max: the radius must be finite and "
+                         f"positive, not {eta_max}")
     check = irs_bound_check(HomogeneousNorm(spec), plan["params"]["r"],
                             plan["params"]["s"],
-                            np.geomspace(0.25, plan["params"]["eta_max"], 9))
+                            np.geomspace(0.25, eta_max, 9))
     rows = [{"eta_norm": float(t), "I_rs": val, "majorant": maj,
              "ratio": ratio, "converged": converged}
             for (t, val, maj, ratio), converged

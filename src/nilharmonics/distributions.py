@@ -86,7 +86,17 @@ class TestFunction:
 
 
 class DistributionRep:
-    """T = omega_mu * sum X^alpha f_alpha with sampled densities f_alpha."""
+    """T = omega_mu * sum X^alpha f_alpha with sampled densities f_alpha.
+
+    normal_form holds the same distribution as sum_beta X^beta g_beta, the
+    weight moved inside by the Leibniz rule:  omega X^alpha f =
+    sum_{beta<=alpha} (-1)^{|alpha|-|beta|} lambda(alpha,beta)
+    X^beta [ (Xt^{alpha-beta} omega) f ].
+    It maps every beta <= alpha to the pieces (c, Xt^{alpha-beta} omega, f)
+    of g_beta, c = (-1)^{|alpha|-|beta|} lambda(alpha, beta); each g_beta
+    is omega-bounded times the f's, hence has finite L^1(omega_{-mu}) norm
+    when f in L^1.  With mu = 0 the weight is 1, stored as None, so only
+    beta = alpha keeps a piece."""
 
     def __init__(self, spec: GroupSpec, norm: HomogeneousNorm, Gamma,
                  terms, mu=None):
@@ -95,93 +105,64 @@ class DistributionRep:
         self.mu = float(spec.Q) + self.Gamma if mu is None else float(mu)
         self.terms = [(tuple(int(v) for v in alpha), f)
                       for alpha, f in terms]
-        for alpha, _ in self.terms:
+        weight = weight_field(norm, self.mu)
+        self.normal_form = {}
+        for alpha, f in self.terms:
             if sum(alpha) > 3:
                 raise ValueError("density derivative order capped at 3")
-        self._weight = weight_field(norm, self.mu)
-
-    def leibniz_terms(self):
-        """The Leibniz expansion of the weight against each term: yields
-        (alpha, beta, f, lambda(alpha, beta), Xt^{alpha-beta} omega) for
-        every term (alpha, f) and beta <= alpha.  With mu = 0 the weight is
-        constant, so every beta < alpha term vanishes and is skipped."""
-        for alpha, f in self.terms:
             for beta in sub_multi_indices(alpha):
+                pieces = self.normal_form.setdefault(beta, [])
                 diff = tuple(a - b for a, b in zip(alpha, beta))
                 if self.mu == 0.0 and sum(diff) > 0:
-                    continue
-                wd = OperatorWord(self.spec, "Xt",
-                                  diff).apply_symbolic(self._weight)
-                yield alpha, beta, f, leibniz_tilde_coeff(alpha, beta), wd
+                    continue  # Xt^{alpha-beta} 1 = 0
+                wd = None if self.mu == 0.0 else OperatorWord(
+                    spec, "Xt", diff).apply_symbolic(weight)
+                pieces.append(((-1) ** sum(diff)
+                               * leibniz_tilde_coeff(alpha, beta), wd, f))
 
-    def normal_form(self):
-        """The same distribution as sum_beta X^beta g_beta, with the weight
-        moved inside:  omega X^alpha f =
-        sum_{beta<=alpha} (-1)^{|alpha|-|beta|} lambda(alpha,beta)
-        X^beta [ (Xt^{alpha-beta} omega) f ].
-        Returns {beta: callable g_beta}; each g_beta is omega-bounded times
-        the f's, hence has finite L^1(omega_{-mu}) norm when f in L^1."""
-        # every beta <= alpha keeps its g_beta, identically 0 when mu = 0
-        # drops all of its pieces
-        pieces = {beta: [] for alpha, _ in self.terms
-                  for beta in sub_multi_indices(alpha)}
-        for alpha, beta, f, lam, wd in self.leibniz_terms():
-            sign = (-1) ** (sum(alpha) - sum(beta))
-            pieces[beta].append((sign * lam, wd, f))
-        out = {}
-        for beta, plist in pieces.items():
-            def g(eta, plist=plist):
-                eta = np.asarray(eta, dtype=float)
-                acc = np.zeros(eta.shape[:-1])
-                for c, wd, f in plist:
-                    acc = acc + c * wd.eval(eta) * _evaluate(f, eta)
-                return acc
-            out[beta] = g
-        return out
+
+def _weighted(wd, f):
+    """The density (Xt^{alpha-beta} omega) f of a normal-form piece: f
+    alone when the weight is 1."""
+    return f if wd is None else (lambda p: _evaluate(f, p) * wd.eval(p))
 
 
 def pair(T: DistributionRep, phi: TestFunction, grid: Grid):
-    """<T, phi> = sum_beta (-1)^{|beta|} int g_beta Xt^beta phi, through the
-    normal form."""
+    """<T, phi> = sum_beta (-1)^{|beta|} int g_beta Xt^beta phi, each g_beta
+    summed on the grid from the pieces of T's normal form."""
     total = 0.0
-    for beta, g in T.normal_form().items():
-        dphi = phi.word_callable("Xt", beta)
-        vals = g(grid.points) * dphi(grid.points)
+    for beta, pieces in T.normal_form.items():
+        if not pieces:
+            continue
+        g = sum(c * _evaluate(_weighted(wd, f), grid.points)
+                for c, wd, f in pieces)
+        vals = g * phi.word_callable("Xt", beta)(grid.points)
         total += (-1) ** sum(beta) * float(np.sum(vals * grid.weights))
-    return total
-
-
-def pair_unweighted(T: DistributionRep, phi: TestFunction, grid: Grid):
-    """<omega_{-mu} T, phi> = sum_alpha (-1)^{|alpha|} int f_alpha
-    Xt^alpha phi — the weight cancels exactly against the representation."""
-    total = 0.0
-    for alpha, f in T.terms:
-        dphi = phi.word_callable("Xt", alpha)
-        vals = _evaluate(f, grid.points) * dphi(grid.points)
-        total += (-1) ** sum(alpha) * float(np.sum(vals * grid.weights))
     return total
 
 
 def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
                     grid: Grid, iota=None, form="first"):
-    """(T * psi)(eta) = sum_alpha (-1)^{|alpha|} sum_{beta<=alpha}
-    lambda(alpha,beta) (u * g)(eta), one group convolution per Leibniz
-    term, with u = f Xt^{alpha-beta} omega (f alone when mu = 0, where the
-    weight is 1) and g = (Xt^beta psi-check)-check.  With iota set, the
-    outer word is taken under the integral: X^iota (u * g) = u * X^iota g.
-    u vanishes wherever f does, so f's support box bounds u's too."""
+    """(T * psi)(eta) = sum_beta (-1)^{|beta|} (g_beta * G_beta)(eta) over
+    T's normal form, with G_beta = (Xt^beta psi-check)-check built once per
+    beta and one group convolution per piece of g_beta.  With iota set,
+    the outer word is taken under the integral: X^iota (u * G) =
+    u * X^iota G.  A piece vanishes wherever its f does, so f's support
+    box bounds it."""
     spec = T.spec
     out = np.zeros(np.shape(eta)[:-1])
-    for alpha, beta, f, lam, wd in T.leibniz_terms():
-        u = f if T.mu == 0.0 else \
-            (lambda p, f=f, wd=wd: _evaluate(f, p) * wd.eval(p))
-        box = f.support_box() if isinstance(f, SmoothField) else None
+    for beta, pieces in T.normal_form.items():
+        if not pieces:
+            continue
         g = OperatorWord(spec, "Xt", beta).apply_symbolic(
             psi_check_field).negate_coords()
         if iota is not None and sum(iota) > 0:
             g = OperatorWord(spec, "X", iota).apply_symbolic(g)
-        out = out + (-1) ** sum(alpha) * lam * convolve(
-            spec, u, g, eta, grid, form=form, support=box)
+        for c, wd, f in pieces:
+            box = f.support_box() if isinstance(f, SmoothField) else None
+            out = out + (-1) ** sum(beta) * c * convolve(
+                spec, _weighted(wd, f), g, eta, grid, form=form,
+                support=box)
     return out
 
 
@@ -227,7 +208,7 @@ def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, radius=50.0,
     """
     spec, norm = kernel.spec, kernel.norm
     w_plus = weight_field(norm, float(spec.Q) + kernel.Gamma)
-    w_minus = weight_field(norm, -float(spec.Q) - kernel.Gamma)
+    w_minus = kernel.weight()
     pk_check = dilated_field(kernel, 1.0).negate_coords()
 
     def conv_phi(p):
@@ -268,8 +249,7 @@ def extension_weighted_norm(T: DistributionRep, kernel: KernelSpec, a, iota,
     the derivative taken under the integral."""
     if sum(iota) > 2:
         raise ValueError("derivative weight capped at |iota| <= 2")
-    w_minus = weight_field(kernel.norm,
-                           -float(kernel.spec.Q) - kernel.Gamma)
+    w_minus = kernel.weight()
     vals = poisson_extend(T, kernel, a, outer_grid.points, inner_grid,
                           iota=iota)
     dens = np.abs(vals) * w_minus.eval(outer_grid.points)
@@ -281,14 +261,15 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
                          inner_grid: Grid, kernel_mass=None, method="direct",
                          span=4.0, count=31):
     """Rows (a, <omega_{-mu}(T*P_a), phi>, <omega_{-mu}T, phi>, error);
-    the limit pairing is evaluated exactly from the representation, the
-    extension pairing by outer quadrature.  Reports the fitted slope of
+    the limit is the pairing of T's mu = 0 representation, where the weight
+    cancels exactly, the extension pairing by outer quadrature.  Reports the fitted slope of
     log error against log a.  T * P_a tends to (int P) T: the limit takes
     kernel.mass unless kernel_mass is given."""
     w_minus = weight_field(kernel.norm, -T.mu)
     wm_phi = w_minus.eval(outer_grid.points) * phi(outer_grid.points)
     limit = (kernel.mass if kernel_mass is None else kernel_mass) \
-        * pair_unweighted(T, phi, inner_grid)
+        * pair(DistributionRep(T.spec, T.norm, T.Gamma, T.terms, mu=0.0),
+               phi, inner_grid)
     rows = []
     for a in a_list:
         if method == "scaled":

@@ -230,7 +230,7 @@ def polar_integrate(f, norm: HomogeneousNorm, r_max, n_r=201, resolution=81):
 
 # -- the integrals I_{r,s} --------------------------------------------------
 
-def _grading_for(spec: GroupSpec, radius, count, center_spacing=0.2):
+def _grading_for(spec: GroupSpec, radius, count, center_spacing):
     """Per-axis sinh strengths so that the node spacing at the box center
     stays near `center_spacing` (resolving the unit-scale peaks of the
     integrand) however large the box is.  Axis k of box_grid(spec, radius)

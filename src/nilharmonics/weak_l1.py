@@ -9,7 +9,7 @@ together with a verification report for its measured constants.
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -269,7 +269,6 @@ class CoveringCertificate:
     covering_radius: float
     tail_measure: float
     enumerated: int
-    counts: dict = field(default_factory=dict)
 
 
 def _lattice_scales(spec: GroupSpec):
@@ -524,8 +523,7 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
         alpha=alpha, Gamma=Gamma, i0=i0, depth=depth, authorized=authorized,
         forbidden_volume=dict(forb_vol), kappa_measured=kappa,
         kappa_design=_design_kappa(spec, norm, c0),
-        covering_radius=c0, tail_measure=tail, enumerated=enumerated,
-        counts={"authorized": len(authorized)})
+        covering_radius=c0, tail_measure=tail, enumerated=enumerated)
 
 
 def u_piece(spec, norm, piece, Gamma, eta):

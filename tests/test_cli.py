@@ -145,10 +145,12 @@ _EXTEND = ["extend", "run", "--spec", "abelian_R1", "--kernel",
 @pytest.mark.parametrize("argv", [
     _CERTIFY + ["--gamma", "inf"], _CERTIFY + ["--gamma", "nan"],
     _IRS + ["--eta-max", "nan"], _IRS + ["--eta-max", "-4"],
+    _IRS + ["--eta-max", "0"],
     ["covering", "demo", "--alpha", "nan"],
     _EXTEND + ["--a-list", "1,inf"],
 ], ids=["gamma-inf", "gamma-nan", "eta-max-nan", "eta-max-negative",
-        "alpha-nan", "a-list-inf"])
+        "eta-max-zero", "alpha-nan", "a-list-inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_or_negative_float_is_input_error(tmp_path, dist_file,
                                                      capsys, argv):
     if argv[0] == "extend":

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from nilharmonics.calculus import OperatorWord, central_difference
 from nilharmonics.distributions import (
     DistributionRep, TestFunction, boundary_convergence,
-    extension_weighted_norm, flat_top_profile, pair, pair_unweighted,
-    poisson_extend, sconvolvability_witness, sub_multi_indices,
+    extension_weighted_norm, flat_top_profile, pair, poisson_extend,
+    poisson_extend_scaled, sconvolvability_witness, sub_multi_indices,
     weight_field, _convolve_terms)
 from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
 from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
@@ -119,12 +119,24 @@ def test_density_l1_norm_gaussian():
 def test_normal_form_mu_zero_is_trivial():
     g = line_gaussian()
     T = DistributionRep(LINE, LNORM, 1.0, [((1,), g)], mu=0.0)
-    nf = T.normal_form()
-    assert set(nf) == {(0,), (1,)}
-    x = np.random.default_rng(1).normal(size=(30, 1))
-    # the weight is constant, so the lower-order correction vanishes
-    assert_allclose(nf[(0,)](x), 0.0, atol=1e-15)
-    assert_allclose(nf[(1,)](x), g.eval(x), rtol=1e-14)
+    # the weight is 1, stored as None, so the lower-order correction keeps
+    # its key and has no piece
+    assert T.normal_form == {(0,): [], (1,): [(1, None, g)]}
+
+
+def test_normal_form_moves_the_weight_inside():
+    # omega X g = X (omega g) - (Xt omega) g on the line
+    g = line_gaussian()
+    T = DistributionRep(LINE, LNORM, 1.0, [((1,), g)])
+    (c0, wd0, f0), = T.normal_form[(0,)]
+    (c1, wd1, f1), = T.normal_form[(1,)]
+    assert (c0, c1) == (-1, 1) and f0 is f1 is g
+    x = np.linspace(-4.0, 4.0, 17)[:, None]
+    w = weight_field(LNORM, 2.0)
+    assert_allclose(wd1.eval(x), w.eval(x), rtol=1e-15)
+    # finite differences across the C^2 seam at |x| = 1 err by ~2e-7
+    assert_allclose(wd0.eval(x), OperatorWord(LINE, "Xt", (1,)).apply(
+        w.eval, x), rtol=1e-6, atol=1e-6)
 
 
 def test_pair_of_derivative_is_minus_int_g_phi_prime():
@@ -137,7 +149,6 @@ def test_pair_of_derivative_is_minus_int_g_phi_prime():
         lambda t: np.exp(-t * t / 2)
         * (-(t - 1) / 4) * np.exp(-(t - 1) ** 2 / 8), -14, 14)[0]
     assert_allclose(got, ref, rtol=1e-10)
-    assert_allclose(pair_unweighted(T, phi, grid), ref, rtol=1e-10)
 
 
 def test_pair_weighted_derivative_against_quad():
@@ -405,7 +416,6 @@ def test_scaled_chart_matches_direct(mu):
     ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
     T = DistributionRep(HEIS, HNORM, 1.0, [((1, 0, 0), g)], mu=mu)
     etas = np.array([[0.1, 0.0, 0.0], [0.5, -0.4, 0.3], [1.2, 0.8, -0.5]])
-    from nilharmonics.distributions import poisson_extend_scaled
     direct = poisson_extend(T, ker, 0.4, etas,
                             Grid([0.3, 0.2, -0.1], [1.4] * 3, [33] * 3))
     scaled = poisson_extend_scaled(T, ker, 0.4, etas, span=4.0, count=31)
@@ -418,7 +428,6 @@ def test_scaled_chart_evaluates_the_density_near_its_support(monkeypatch,
     # acceptance 09's order-1 Heisenberg triple at a small resolution: the
     # second form reads the density on a quarter of the nominal pairs at
     # most, for mu = 0 and for mu = Q + Gamma (u = f Xt omega)
-    from nilharmonics.distributions import poisson_extend_scaled
     f = heis_bump(1.2, (0.3, 0.2, -0.1))
     T = DistributionRep(HEIS, HNORM, 1.0, [((1, 0, 0), f)], mu=mu)
     ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
@@ -432,11 +441,43 @@ def test_scaled_chart_evaluates_the_density_near_its_support(monkeypatch,
         return field_eval(self, theta)
 
     monkeypatch.setattr(SmoothField, "eval", spy)
-    terms = len(list(T.leibniz_terms()))
+    terms = sum(len(pieces) for pieces in T.normal_form.values())
     for a in (1.0, 0.125):
         read.clear()
         poisson_extend_scaled(T, ker, a, etas, span=4.0, count=13)
         assert 0 < sum(read) <= 0.25 * len(etas) * 13 ** 3 * terms
+
+
+def test_multi_term_distribution_is_the_sum_of_its_terms():
+    # T = T1 + T2 + T3 with weighted terms of orders 1, 2 and 3: the normal
+    # form of T regroups the pieces of all three by beta, so its
+    # extensions and pairing differ from the sums over the Ti by summation
+    # order only
+    alphas = [(1, 0, 0), (0, 1, 1), (2, 1, 0)]
+    shifts = [(0.3, 0.2, -0.1), (-0.2, 0.1, 0.2), (0.1, -0.3, 0.0)]
+    terms = [(alpha, heis_bump(1.2, shift))
+             for alpha, shift in zip(alphas, shifts)]
+    T = DistributionRep(HEIS, HNORM, 1.0, terms)
+    parts = [DistributionRep(HEIS, HNORM, 1.0, [term]) for term in terms]
+    assert T.mu == 5.0
+    assert sum(len(pieces) for pieces in T.normal_form.values()) == 12
+    ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
+    grid = Grid([0.0] * 3, [1.5] * 3, [11] * 3)
+    etas = np.array([[0.1, 0.0, 0.0], [0.5, -0.4, 0.3], [1.2, 0.8, -0.5]])
+    phi = TestFunction(HEIS, heis_bump(2.0), "schwartz-like")
+
+    def agree(value_of):
+        whole = value_of(T)
+        total = sum(value_of(S) for S in parts)
+        assert np.max(np.abs(whole - total)) \
+            <= 1e-13 * np.max(np.abs(total))
+
+    agree(lambda S: poisson_extend(S, ker, 0.5, etas, grid))
+    agree(lambda S: poisson_extend(S, ker, 0.5, etas, grid,
+                                   iota=(1, 0, 0)))
+    agree(lambda S: poisson_extend_scaled(S, ker, 0.5, etas, span=4.0,
+                                          count=13))
+    agree(lambda S: pair(S, phi, grid))
 
 
 def test_first_form_evaluates_the_kernel_at_weighted_nodes_only():
@@ -459,7 +500,6 @@ def test_first_form_evaluates_the_kernel_at_weighted_nodes_only():
 
 def test_scaled_chart_pointwise_limit():
     # u_a -> mass * omega_mu * g pointwise as a -> 0, down to a = 1/64
-    from nilharmonics.distributions import poisson_extend_scaled
     g = heis_bump(1.2, (0.3, 0.2, -0.1))
     ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
     S = DistributionRep(HEIS, HNORM, 1.0, [((0, 0, 0), g)])

@@ -3,8 +3,8 @@ every name a module imports is used in that module, every public name
 reaches a verdict, no module reaches into another
 object's private attributes, and each numerical idiom (the tensor grid,
 the finite-difference stencil, the kernel field, the support-box pruning,
-the certification sweep, the dilation, the batch budget) is called from
-one place only."""
+the certification sweep, the dilation, the batch budget, the Leibniz
+expansion of a distribution) is called from one place only."""
 
 import ast
 import sys
@@ -119,6 +119,15 @@ def test_distributions_has_no_group_law_loop():
     # the extensions reach the group law only through quadrature.convolve
     assert {caller for caller in callers("multiply")
             if caller[0] == "distributions.py"} == set()
+
+
+def test_one_leibniz_expansion_per_distribution():
+    # a distribution's normal form is built once, when it is constructed;
+    # the pairing and both Poisson extensions read it, and the conversion
+    # constants of calculus are the other expansion
+    assert callers("leibniz_tilde_coeff") == {
+        ("distributions.py", "__init__"),
+        ("calculus.py", "fundlink_constants")}
 
 
 def test_zero_pairs_are_pruned_in_the_pair_loop_only():
@@ -381,9 +390,6 @@ UNREACHED_ALLOWED = {
     "distributions.certify":
         "TestFunction.certify, the decay-class certificate of a test "
         "function that the claim (A) verdicts pair against",
-    "distributions.pair":
-        "<T, phi> through the normal form: the weighted pairing that the "
-        "necessity threshold of claim (A) measures",
     "quadrature.approximate_identity":
         "the numerical dilate a^{-Q} h(delta_{1/a} .) that tests compare "
         "the exact dilated_field against",

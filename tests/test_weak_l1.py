@@ -364,7 +364,7 @@ def heis_cover():
 def test_empty_measure_gives_empty_covering():
     nu = AtomicMeasure(np.zeros((0, 1)), np.zeros(0))
     cert = build_covering(LINE, LNORM, nu, 1.0, 0.5, 2, 4)
-    assert cert.counts["authorized"] == 0
+    assert len(cert.authorized) == 0
     rep = verify_covering(cert, LINE, LNORM, nu)
     assert rep["C_i"] == 0.0 and rep["C_iii"] == 0.0
 
@@ -405,7 +405,7 @@ def test_covering_lattice_ignores_group_name():
 
 def test_covering_line_properties(line_cover):
     cert, rep = line_cover
-    assert cert.counts["authorized"] >= 1
+    assert len(cert.authorized) >= 1
     assert np.isfinite(rep["C_i"]) and rep["C_i"] > 0
     assert np.isfinite(rep["C_ii"]) and np.isfinite(rep["C_iii"])
     assert rep["chain_holds"]
@@ -516,7 +516,7 @@ def test_covering_gauge_calls_are_batched(monkeypatch):
 
 def test_covering_heisenberg_properties(heis_cover):
     cert, rep = heis_cover
-    assert cert.counts["authorized"] == 2  # one piece per separated atom
+    assert len(cert.authorized) == 2  # one piece per separated atom
     assert np.isfinite(rep["C_i"]) and rep["chain_holds"] and rep["disjoint"]
     assert rep["forbidden_ratio_measured"] <= rep["forbidden_ratio_analytic"]
     assert cert.kappa_measured <= len(NU_HEIS.w) * cert.kappa_design
@@ -536,7 +536,7 @@ def test_covering_translation_covariance(heis_cover):
     moved = NU_HEIS.translate(HEIS, eta0)
     cert2 = build_covering(HEIS, HNORM, moved, 1.0, 20.0, 2, 4)
     rep2 = verify_covering(cert2, HEIS, HNORM, moved, resolution=35)
-    assert cert2.counts == cert.counts
+    assert len(cert2.authorized) == len(cert.authorized)
     for key in ("C_ii", "C_iii"):
         assert abs(rep2[key] - rep[key]) <= 0.10 * abs(rep[key])
     assert abs(rep2["C_i"] - rep["C_i"]) <= 0.10 * rep["C_i"]
@@ -545,6 +545,6 @@ def test_covering_translation_covariance(heis_cover):
 def test_covering_concentrates_near_single_atom():
     nu = AtomicMeasure([[0.5]], [1.0])
     cert = build_covering(LINE, LNORM, nu, 1.0, 2.0, 1, 5)
-    assert cert.counts["authorized"] >= 1
+    assert len(cert.authorized) >= 1
     for p in cert.authorized:
         assert LNORM(LINE.multiply(-p.center, nu.xi[0])) <= 2 * 2.0 ** 1
