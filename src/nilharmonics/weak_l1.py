@@ -104,11 +104,13 @@ def U_nu(spec: GroupSpec, norm: HomogeneousNorm, nu: AtomicMeasure, Gamma,
     if np.any(a <= 0):
         raise ValueError("height a must be positive")
     Q = float(norm.spec.Q)
-    # terms on (points, heights, atoms), formed in place; atoms summed away
-    terms = a[..., None] + norm(spec.multiply(-eta[..., None, :], nu.xi))
+    # terms on (atoms, *broadcast(a, batch)), formed in place: one gauge
+    # distance per point and atom, then the atom slabs summed in order
+    lead = (-1,) + (1,) * max(a.ndim, eta.ndim - 1)
+    terms = a + norm(spec.multiply(-eta, nu.xi.reshape(lead + (spec.n,))))
     np.power(terms, Q + Gamma, out=terms)
-    np.divide(nu.w, terms, out=terms)
-    acc = np.sum(terms, axis=-1)
+    np.divide(nu.w.reshape(lead), terms, out=terms)
+    acc = np.sum(terms, axis=0)
     acc *= a ** (Gamma - 1.0)
     return acc
 
@@ -122,10 +124,10 @@ def superlevel_measure(F, alpha, window: Window, resolution=101,
     Returns (value, error_bar), the bar the shift between two
     half-cell-offset grids.
 
-    F takes points eta of shape (P, n) and a block of h heights as an
-    (h, 1) column, and F(eta, a) must broadcast to (h, P), row k at height
-    a[k]; an F that ignores a may return (P,).  A window from a_lo = 0
-    needs a_power > -1, where a^{a_power} is integrable at 0.
+    F is called on a block of points eta of shape (P, n) with every height
+    at once, as an (na, 1) column, and F(eta, a) must broadcast to (na, P),
+    row k at height a[k]; an F that ignores a may return (P,).  A window
+    from a_lo = 0 needs a_power > -1, where a^{a_power} is integrable at 0.
     """
     if a_power <= -1 and window.a_lo == 0:
         raise ValueError("a^a_power is not integrable at a = 0; "
@@ -141,19 +143,17 @@ def superlevel_measure(F, alpha, window: Window, resolution=101,
     lo, hi, p = a_edges[:-1], a_edges[1:], a_power + 1.0
     # exact integral of a^{a_power} over each height cell
     a_w = np.log(hi / lo) if a_power == -1 else (hi ** p - lo ** p) / p
-    a_mid = 0.5 * (lo + hi)
+    a_mid = 0.5 * (lo + hi)[:, None]
     vals = []
     for shift in (0.0, 0.5):
         pts = tensor_grid([c[k] - hw[k] + (np.arange(res[k]) + 0.5 + shift)
                            * step[k] for k in range(n)]).reshape(-1, n)
-        total = 0.0
-        for blk in _chunks(na, len(pts)):
-            a = a_mid[blk, None]
-            hits = np.broadcast_to(F(pts, a) > alpha, (len(a), len(pts)))
-            # per-height counts added in height order, as one by one
-            for row, aw in zip(hits, a_w[blk]):
-                total += float(np.sum(row)) * cell * aw
-        vals.append(total * calibration)
+        counts = np.zeros(na, dtype=int)
+        for blk in _chunks(len(pts), na):
+            hits = F(pts[blk], a_mid) > alpha
+            counts += np.broadcast_to(hits, (na, len(pts[blk]))).sum(axis=1)
+        # the counts are exact; cumsum adds them weighted, in height order
+        vals.append(float(np.cumsum(counts * cell * a_w)[-1]) * calibration)
     return 0.5 * (vals[0] + vals[1]), abs(vals[0] - vals[1])
 
 
@@ -225,13 +225,13 @@ def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
     # (b): sup on {a > a0} over the window box, for a0, 2 a0, 4 a0, ...
     c = np.asarray(window.center, dtype=float)
     hw = np.asarray(window.half_widths, dtype=float)
-    axes = [np.linspace(c[k] - hw[k], c[k] + hw[k], resolution)
-            for k in range(window.n)]
-    pts = tensor_grid(axes).reshape(-1, window.n)
+    pts = tensor_grid([np.linspace(c[k] - hw[k], c[k] + hw[k], resolution)
+                       for k in range(window.n)]).reshape(-1, window.n)
+    npts = norm(pts)
     sups = []
     for lo in (a0, 2 * a0, 4 * a0):
         vals = (measure_poisson(spec, mu, kernel, float(a), pts) * a ** -Gamma
-                / (1.0 + a + norm(pts)) ** (Q + Gamma)
+                / (1.0 + a + npts) ** (Q + Gamma)
                 for a in np.geomspace(lo, max(window.a_hi, 4 * lo), 25))
         sups.append(max(0.0, *(float(np.max(v)) for v in vals)))
 

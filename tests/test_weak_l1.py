@@ -118,19 +118,28 @@ def test_U_nu_line_value_and_symmetry():
 
 THREE_ATOMS = AtomicMeasure([[0.0, 0.0, 0.0], [2.5, 0.0, 0.3],
                              [-1.0, 0.5, 0.2]], [1.0, 0.7, 2.0])
+# more atoms than the 8-wide block of numpy's pairwise sum
+TWELVE_ATOMS = AtomicMeasure(np.random.default_rng(8).uniform(-2, 2, (12, 3)),
+                             np.linspace(0.5, 2.0, 12))
 
 
-@pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 2, 3)])
-@pytest.mark.parametrize("a", [0.7, "array"])
+# (6, 3) meets superlevel_measure's (h, 1) height column and (2, 4, 9, 3)
+# _hit_test's (4, 1) column against (c, 4, 9, n) points
+@pytest.mark.parametrize("shape", [(3,), (4, 3), (4, 2, 3), (6, 3),
+                                   (2, 4, 9, 3)])
+@pytest.mark.parametrize("a", [0.7, "array", "column"])
 def test_U_nu_is_the_sum_of_single_atoms(shape, a):
     eta = np.random.default_rng(4).uniform(-2, 2, shape)
     if a == "array":
         a = np.linspace(0.3, 2.0, math.prod(shape[:-1])).reshape(shape[:-1])
-    singles = sum(U_nu(HEIS, HNORM, AtomicMeasure([x], [w]), 1.5, eta, a)
-                  for x, w in zip(THREE_ATOMS.xi, THREE_ATOMS.w))
-    got = U_nu(HEIS, HNORM, THREE_ATOMS, 1.5, eta, a)
-    assert np.shape(got) == shape[:-1]
-    assert_allclose(got, singles, rtol=1e-14)
+    elif a == "column":
+        a = np.linspace(0.3, 2.0, 4)[:, None]
+    for nu in (THREE_ATOMS, TWELVE_ATOMS):
+        singles = sum(U_nu(HEIS, HNORM, AtomicMeasure([x], [w]), 1.5, eta, a)
+                      for x, w in zip(nu.xi, nu.w))
+        got = U_nu(HEIS, HNORM, nu, 1.5, eta, a)
+        assert np.shape(got) == np.broadcast_shapes(np.shape(a), shape[:-1])
+        assert_allclose(got, singles, rtol=1e-14)
     empty = AtomicMeasure(np.empty((0, 3)), [])
     assert np.all(U_nu(HEIS, HNORM, empty, 1.5, eta, a) == 0.0)
 
@@ -175,7 +184,7 @@ def _per_height_grid(F, alpha, window, res, na, calibration):
 
 @pytest.mark.parametrize("case", ["U_nu", "phi_gamma", "line", "no_height"])
 def test_superlevel_blocks_match_per_height_loop(case):
-    # enough points and heights that the heights come in several blocks
+    # enough points and heights that the points come in several blocks
     win = Window((0.5, 0.1, 0.1), (2.0, 1.5, 1.5), 0.05, 2.0)
     res, na, alpha = 21, 61, 0.3
     if case == "U_nu":
@@ -193,6 +202,25 @@ def test_superlevel_blocks_match_per_height_loop(case):
     want = _per_height_grid(F, alpha, win, res, na, cal)
     assert want[0] > 0
     assert got == want
+
+
+def test_superlevel_calls_F_on_point_blocks_with_every_height():
+    # every call gets all na heights as one column; the point blocks of
+    # each shift, several here, cover the grid exactly once
+    win = Window((0.5, 0.1, 0.1), (2.0, 1.5, 1.5), 0.05, 2.0)
+    res, na = 21, 61
+    seen = []
+
+    def F(e, a):
+        seen.append((e.copy(), a.shape))
+        return U_nu(HEIS, HNORM, THREE_ATOMS, 1.5, e, a)
+
+    superlevel_measure(F, 0.3, win, resolution=res, a_resolution=na)
+    assert len(seen) > 2
+    assert all(shape == (na, 1) for _, shape in seen)
+    pts = np.concatenate([e for e, _ in seen])
+    assert len(pts) == 2 * res ** 3
+    assert len(np.unique(pts, axis=0)) == 2 * res ** 3
 
 
 def test_superlevel_zero_function_and_large_alpha():
