@@ -24,8 +24,9 @@ from .polynomials import Polynomial, Profile, SmoothField
 
 
 def tensor_grid(axes):
-    """All points of the tensor product of 1-D axes, shape (*lens, n)."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    """All points of the tensor product of 1-D axes, shape (*lens, n),
+    coordinate-major like products (each [..., k] contiguous)."""
+    return np.moveaxis(np.array(np.meshgrid(*axes, indexing="ij")), 0, -1)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Polynomials are stored as a map ``exponent multi-index -> coefficient`` over
 the group coordinates.  Coefficients are kept as :class:`fractions.Fraction`
 whenever possible so that all symbolic manipulations downstream (invariant
 vector fields, basis conversions, kernel derivatives) stay exact; evaluation
-converts to float and is vectorized over numpy arrays of points.
+converts them to float and is nested Horner over numpy arrays of points,
+one coordinate at a time.
 
 ``SmoothField`` represents functions of the form ``sum_k P_k(theta) *
 g^(k)(N(theta))`` with ``N`` a polynomial and ``g`` a smooth scalar profile.
@@ -107,29 +108,11 @@ class Polynomial:
         return Polynomial(self.n, out)
 
     def eval(self, theta):
-        """Evaluate at points; theta has shape (..., n)."""
+        """Evaluate at points; theta has shape (..., n): nested Horner."""
         theta = np.asarray(theta, dtype=float)
-        out = np.zeros(theta.shape[:-1])
-        if not self.coeffs:
-            return out
-        # per-variable powers by repeated products (much cheaper than
-        # generic ** on large arrays), shared across monomials; only the
-        # powers some monomial uses are kept alive
-        pows = {}
-        for k, used in enumerate(map(set, zip(*self.coeffs))):
-            x = theta[..., k]
-            for p in range(1, max(used) + 1):
-                power = x if p == 1 else power * x
-                if p in used:
-                    pows[k, p] = power
-        for e, c in self.coeffs.items():
-            term = None
-            for k, p in enumerate(e):
-                if p:
-                    term = pows[k, p] if term is None else term * pows[k, p]
-            out += float(c) if term is None else \
-                term if c == 1 else float(c) * term
-        return out
+        val = _horner({e: float(c) for e, c in self.coeffs.items()},
+                      [theta[..., k] for k in range(self.n)])
+        return np.full(theta.shape[:-1], val) if np.ndim(val) == 0 else val
 
     def __call__(self, theta):
         return self.eval(theta)
@@ -162,6 +145,24 @@ class Polynomial:
             mono = "*".join(f"t{k}^{p}" for k, p in enumerate(e) if p)
             parts.append(f"{c}{'*' + mono if mono else ''}")
         return "Polynomial(" + " + ".join(parts) + ")"
+
+
+def _horner(coeffs, xs):
+    """sum of c x_0^e_0 x_1^e_1 ... over the items (e, c) of coeffs:
+    Horner in x_0 over coefficients nested the same way in x_1, ...; a
+    float where constant, else an array of its own, updated in place."""
+    if not any(map(any, coeffs)):
+        return sum(coeffs.values(), 0.0)
+    rows = {}
+    for e, c in coeffs.items():
+        rows.setdefault(e[0], {})[e[1:]] = c
+    acc = _horner(rows[max(rows)], xs[1:])
+    for p in range(max(rows) - 1, -1, -1):
+        acc = np.multiply(acc, xs[0], out=acc if isinstance(
+            acc, np.ndarray) else None)
+        if p in rows:
+            acc += _horner(rows[p], xs[1:])
+    return acc
 
 
 def _zero(a):
@@ -327,11 +328,15 @@ class SmoothField:
         theta = np.asarray(theta, dtype=float)
         u = self.base.eval(theta)
         derivs = self.profile.eval_deriv(max(self.terms, default=0), u)
-        out = np.zeros(theta.shape[:-1])
+        out = None  # the first product is fresh: the sum owns it
         for k, poly in self.terms.items():
-            out += (float(poly.constant_term()) if poly.is_constant()
+            term = (float(poly.constant_term()) if poly.is_constant()
                     else poly.eval(theta)) * derivs[k]
-        return out
+            if out is None:
+                out = term
+            else:
+                out += term
+        return np.zeros(theta.shape[:-1]) if out is None else np.asarray(out)
 
     def __call__(self, theta):
         return self.eval(theta)

@@ -230,10 +230,13 @@ def mu_poisson_bounds(mu: AtomicMeasure, kernel: KernelSpec, window: Window,
     npts = norm(pts)
     sups = []
     for lo in (a0, 2 * a0, 4 * a0):
-        vals = (measure_poisson(spec, mu, kernel, float(a), pts) * a ** -Gamma
-                / (1.0 + a + npts) ** (Q + Gamma)
-                for a in np.geomspace(lo, max(window.a_hi, 4 * lo), 25))
-        sups.append(max(0.0, *(float(np.max(v)) for v in vals)))
+        # every height at once, as a column: the products xi_i^{-1} eta do
+        # not depend on it
+        a = np.geomspace(lo, max(window.a_hi, 4 * lo), 25)[:, None]
+        sups.append(max(0.0, *(float(np.max(
+            measure_poisson(spec, mu, kernel, a, pts[blk]) * a ** -Gamma
+            / (1.0 + a + npts[blk]) ** (Q + Gamma)))
+            for blk in _chunks(len(pts), len(a)))))
 
     return {"weak": weak, "a0_values": [a0 * 2 ** m for m in range(3)],
             "sup_infinity": sups,

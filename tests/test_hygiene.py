@@ -157,7 +157,8 @@ def test_one_batch_budget():
     assert callers("_chunks") == {
         ("quadrature.py", "convolve"), ("quadrature.py", "polar_integrate"),
         ("weak_l1.py", "superlevel_measure"), ("weak_l1.py", "_distances"),
-        ("weak_l1.py", "_count_within"), ("weak_l1.py", "_hit_test")}
+        ("weak_l1.py", "_count_within"), ("weak_l1.py", "_hit_test"),
+        ("weak_l1.py", "mu_poisson_bounds")}
     assert [path.name for path in SRC.glob("*.py")
             if "2 ** 16" in path.read_text(encoding="utf-8")] == []
 

@@ -1,9 +1,12 @@
-"""Polynomial and SmoothField evaluation: powers are chains of products
+"""Polynomial and SmoothField evaluation: polynomials are nested Horner
 in a fixed order, constant term polynomials are applied as floats,
 profiles run each branch only where its condition is the first to hold,
 and every profile derivative from a jet matches sympy's at 30 digits."""
 
 import functools
+import gc
+import math
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -72,17 +75,93 @@ def test_uncapped_eval_deriv_is_a_fresh_array_of_u(g, k):
     assert_array_equal(u, kept)
 
 
-def test_poly_eval_is_the_product_of_repeated_powers():
-    # x^4 + 2.5 x^2 y + y^3 + 1: each power is a chain of products, a
-    # coefficient 1 adds the power itself, and the terms add in order
+def test_poly_eval_is_nested_horner():
+    # x^4 + 2.5 x^2 y + y^3 + 1 is Horner in x over the coefficients
+    # 1, 2.5 y and y^3 + 1, which are Horner in y themselves
     x, y = (Polynomial.coordinate(2, k) for k in range(2))
     poly = x * x * x * x + Fraction(5, 2) * (x * x * y) + y * y * y + 1
     theta = np.random.default_rng(5).uniform(-3.0, 3.0, (7, 2))
     a, b = theta[..., 0], theta[..., 1]
-    want = np.zeros(7)
-    for term in (((a * a) * a) * a, 2.5 * ((a * a) * b), (b * b) * b, 1.0):
-        want += term
+    want = (((a * a + 2.5 * b) * a) * a) + ((b * b) * b + 1.0)
     assert_array_equal(poly.eval(theta), want)
+
+
+def test_eval_keeps_no_reference_to_the_points():
+    # each evaluation frees its points as soon as its caller drops them,
+    # without waiting for the cycle collector: a batch of points can be
+    # megabytes, and convolve evaluates one batch after another
+    field = SmoothField(BASE, gaussian_profile(width=1.3),
+                        {0: Polynomial.constant(N3, 2.5),
+                         1: Polynomial.coordinate(N3, 0) + 1})
+    gc.disable()
+    try:
+        for f in (BASE.eval, field.eval):
+            theta = THETA.copy()
+            ref = weakref.ref(theta)
+            f(theta)
+            del theta
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+@st.composite
+def float_polynomials(draw):
+    """A sparse polynomial with float coefficients in n <= 6 variables, of
+    total degree <= 6: at most 8 monomials, and the zero polynomial and
+    the constants among them."""
+    n = draw(st.integers(1, 6))
+    monomial = st.lists(st.integers(0, n - 1), max_size=6).map(
+        lambda ks: tuple(ks.count(k) for k in range(n)))
+    coeffs = draw(st.dictionaries(monomial, st.floats(
+        -8.0, 8.0, allow_nan=False, allow_subnormal=False), max_size=8))
+    return Polynomial(n, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_polynomials(), st.sampled_from([(), (7,), (4, 1)]),
+       st.booleans(), st.integers(0, 2 ** 16))
+def test_poly_eval_is_within_the_horner_bound(poly, batch, coordinate_major,
+                                              seed):
+    # against exact Fraction evaluation at the float points: nested Horner
+    # rounds each term at most 2 deg + n times, within 4 deg eps sum |c
+    # theta^e| (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2nd ed., SIAM 2002, sec. 5.1)
+    n = poly.n
+    coords = np.random.default_rng(seed).normal(scale=2.0, size=(n, *batch))
+    theta = np.moveaxis(coords, 0, -1) if coordinate_major \
+        else np.ascontiguousarray(np.moveaxis(coords, 0, -1))
+    kept = theta.copy()
+    got = poly.eval(theta)
+    assert got.shape == batch and got.dtype == float
+    assert_array_equal(theta, kept)
+    deg = max((sum(e) for e in poly.coeffs), default=0)
+    for idx in np.ndindex(batch):
+        point = [Fraction(float(t)) for t in theta[idx]]
+        terms = [Fraction(c) * math.prod(t ** p for t, p in zip(point, e))
+                 for e, c in poly.coeffs.items()]
+        bound = 4 * deg * np.finfo(float).eps * float(sum(map(abs, terms)))
+        assert abs(Fraction(float(got[idx])) - sum(terms)) <= bound
+
+
+@pytest.mark.parametrize("terms", [
+    {0: Polynomial.constant(N3, 2.5)},
+    {0: Polynomial.constant(N3, 2.5),
+     1: Polynomial.coordinate(N3, 0) * Polynomial.coordinate(N3, 2) + 1,
+     2: Polynomial.coordinate(N3, 1)},
+], ids=["constant-only", "several-terms"])
+@pytest.mark.parametrize("theta", [THETA[0, 0], THETA[0, :1]],
+                         ids=["0-d", "one-point"])
+def test_field_eval_is_a_fresh_array_of_the_batch(terms, theta):
+    field = SmoothField(BASE, gaussian_profile(width=1.3), terms)
+    kept = theta.copy()
+    got = field.eval(theta)
+    assert isinstance(got, np.ndarray) and got.dtype == float
+    assert got.shape == theta.shape[:-1]
+    assert got.flags.writeable and not np.shares_memory(got, theta)
+    assert_array_equal(got, explicit_sum(field, kept))
+    got += 1.0
+    assert_array_equal(theta, kept)
 
 
 def test_each_branch_sees_only_its_own_points():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,6 +34,18 @@ class TestGrid:
         vals = 1.0 / (1.0 + g.points[..., 0] ** 2)
         assert_allclose(np.sum(vals * g.weights),
                         2.0 * np.arctan(10.0), rtol=1e-6)
+
+    @pytest.mark.parametrize("counts", [[5, 6, 7], [9], [4, 2]])
+    def test_points_are_coordinate_major(self, counts):
+        # like products: each coordinate is one contiguous array, and the
+        # flat points are a view of it, in the same (row-major) order
+        n = len(counts)
+        g = Grid(np.zeros(n), np.ones(n), counts, rule="trapezoid")
+        assert g.points.shape == (*counts, n)
+        assert all(g.points[..., k].flags.c_contiguous for k in range(n))
+        assert np.shares_memory(g.flat_points, g.points)
+        np.testing.assert_array_equal(
+            g.flat_points, np.array(list(itertools.product(*g.axes))))
 
     def test_nan_rejected(self):
         g = Grid([0.0], [1.0], 11)

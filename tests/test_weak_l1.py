@@ -360,6 +360,37 @@ def test_mu_poisson_weak_and_sup_bounds():
     assert rep["sup_nonincreasing"]
 
 
+def test_mu_poisson_sup_takes_every_height_at_once(monkeypatch):
+    # acceptance 12's inputs: part (a) multiplies 12 times over 4,356
+    # points, and part (b) once per a0 over the 121 points x 2 atoms, not
+    # once per height (which made 87 calls over 22,506 points)
+    ker = KernelSpec(LINE, LNORM, "classical_abelian")
+    mu = AtomicMeasure([[0.0], [1.5]], [1.0, 0.5])
+    win = Window((0.0,), (3.0,), 0.0, 3.0)
+    seen = []
+    multiply = GroupSpec.multiply
+
+    def counted(self, eta, xi):
+        out = multiply(self, eta, xi)
+        seen.append(out[..., 0].size)
+        return out
+
+    monkeypatch.setattr(GroupSpec, "multiply", counted)
+    rep = mu_poisson_bounds(mu, ker, win, a0=1.0, certificate=CERT_OK,
+                            resolution=121)
+    monkeypatch.undo()
+    assert (len(seen), sum(seen)) == (15, 5082)
+    # the per-height loop it replaces
+    pts = np.linspace(-3.0, 3.0, 121)[:, None]
+    Q, Gamma = 1.0, ker.Gamma
+    assert rep["sup_infinity"] == [
+        max(0.0, *(float(np.max(
+            measure_poisson(LINE, mu, ker, float(a), pts) * a ** -Gamma
+            / (1.0 + a + LNORM(pts)) ** (Q + Gamma)))
+            for a in np.geomspace(lo, max(3.0, 4 * lo), 25)))
+        for lo in (1.0, 2.0, 4.0)]
+
+
 def test_mu_poisson_refuses_uncertified_kernel():
     ker = KernelSpec(LINE, LNORM, "classical_abelian")
     mu = AtomicMeasure([[0.0]], [1.0])
