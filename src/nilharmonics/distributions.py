@@ -5,11 +5,13 @@ A distribution here is stored in the representation
     T = omega_mu * sum_alpha X^alpha f_alpha,        f_alpha in L^1,
 
 with mu = Q + Gamma matching the kernel family in use.  Everything the
-extension theory needs — pairings, the normal form with the weight moved
-inside the derivatives, the concrete convolution T * P_a, weighted norms of
-its invariant derivatives, and boundary convergence tables — reduces to
-integrals of the sampled densities against exact symbolic derivatives of
-the weight and of the dilated kernel.
+extension theory needs — the normal form with the weight moved inside the
+derivatives, the S'-convolution T * psi (the Poisson extension T * P_a,
+and the pairing <T, phi> = (T * phi-check)(e) at the identity), weighted
+norms of its invariant derivatives, and boundary convergence tables —
+reduces to integrals of the sampled densities against exact symbolic
+derivatives of the weight and of the convolved field.  _convolve_terms is
+the one reader of the normal form.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ class TestFunction:
 
     __call__ = eval
 
-    def word_callable(self, kind, alpha):
-        return OperatorWord(self.spec, kind, alpha).as_callable(self.func)
-
     def certify(self, norm: HomogeneousNorm, radius=100.0):
         """Sampled sup of |X^alpha phi|, d(alpha) <= 2, on three nested
         gauge annuli; B requires finite sups stable under doubling, Bdot
@@ -67,7 +66,7 @@ class TestFunction:
         shells = [radius / 4, radius, 4 * radius]
         sweeps = [_sweep_points(norm, rad, 16, 25) for rad in shells]
         for alpha in words_upto_weight(self.spec, 2):
-            f = self.word_callable("X", alpha)
+            f = OperatorWord(self.spec, "X", alpha).as_callable(self.func)
             sups = [float(np.max(np.abs(f(pts)))) for pts in sweeps]
             report["sups"][alpha] = sups
             finite = all(np.isfinite(s) for s in sups)
@@ -92,11 +91,11 @@ class DistributionRep:
     weight moved inside by the Leibniz rule:  omega X^alpha f =
     sum_{beta<=alpha} (-1)^{|alpha|-|beta|} lambda(alpha,beta)
     X^beta [ (Xt^{alpha-beta} omega) f ].
-    It maps every beta <= alpha to the pieces (c, Xt^{alpha-beta} omega, f)
-    of g_beta, c = (-1)^{|alpha|-|beta|} lambda(alpha, beta); each g_beta
-    is omega-bounded times the f's, hence has finite L^1(omega_{-mu}) norm
-    when f in L^1.  With mu = 0 the weight is 1, stored as None, so only
-    beta = alpha keeps a piece."""
+    It maps each beta <= alpha that keeps a piece to the pieces
+    (c, Xt^{alpha-beta} omega, f) of g_beta, c = (-1)^{|alpha|-|beta|}
+    lambda(alpha, beta); each g_beta is omega-bounded times the f's, hence
+    has finite L^1(omega_{-mu}) norm when f in L^1.  With mu = 0 the weight
+    is 1, stored as None, and only beta = alpha keeps a piece."""
 
     def __init__(self, spec: GroupSpec, norm: HomogeneousNorm, Gamma,
                  terms, mu=None):
@@ -111,34 +110,20 @@ class DistributionRep:
             if sum(alpha) > 3:
                 raise ValueError("density derivative order capped at 3")
             for beta in sub_multi_indices(alpha):
-                pieces = self.normal_form.setdefault(beta, [])
                 diff = tuple(a - b for a, b in zip(alpha, beta))
                 if self.mu == 0.0 and sum(diff) > 0:
                     continue  # Xt^{alpha-beta} 1 = 0
                 wd = None if self.mu == 0.0 else OperatorWord(
                     spec, "Xt", diff).apply_symbolic(weight)
-                pieces.append(((-1) ** sum(diff)
-                               * leibniz_tilde_coeff(alpha, beta), wd, f))
+                self.normal_form.setdefault(beta, []).append(
+                    ((-1) ** sum(diff) * leibniz_tilde_coeff(alpha, beta),
+                     wd, f))
 
 
 def _weighted(wd, f):
     """The density (Xt^{alpha-beta} omega) f of a normal-form piece: f
     alone when the weight is 1."""
     return f if wd is None else (lambda p: _evaluate(f, p) * wd.eval(p))
-
-
-def pair(T: DistributionRep, phi: TestFunction, grid: Grid):
-    """<T, phi> = sum_beta (-1)^{|beta|} int g_beta Xt^beta phi, each g_beta
-    summed on the grid from the pieces of T's normal form."""
-    total = 0.0
-    for beta, pieces in T.normal_form.items():
-        if not pieces:
-            continue
-        g = sum(c * _evaluate(_weighted(wd, f), grid.points)
-                for c, wd, f in pieces)
-        vals = g * phi.word_callable("Xt", beta)(grid.points)
-        total += (-1) ** sum(beta) * float(np.sum(vals * grid.weights))
-    return total
 
 
 def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
@@ -152,8 +137,6 @@ def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
     spec = T.spec
     out = np.zeros(np.shape(eta)[:-1])
     for beta, pieces in T.normal_form.items():
-        if not pieces:
-            continue
         g = OperatorWord(spec, "Xt", beta).apply_symbolic(
             psi_check_field).negate_coords()
         if iota is not None and sum(iota) > 0:
@@ -164,6 +147,15 @@ def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
                 spec, _weighted(wd, f), g, eta, grid, form=form,
                 support=box)
     return out
+
+
+def pair(T: DistributionRep, phi: TestFunction, grid: Grid):
+    """<T, phi> = (T * phi-check)(e): the first form of _convolve_terms on
+    the density grid at the identity, where each G_beta(xi^{-1}) is
+    Xt^beta phi(xi), so the sum is sum_beta (-1)^{|beta|} int g_beta
+    Xt^beta phi.  The words of phi are exact, so phi.func must be a
+    Polynomial or a SmoothField."""
+    return float(_convolve_terms(T, phi.func, T.spec.identity(), grid))
 
 
 def _pa_check(T: DistributionRep, kernel: KernelSpec, a):

@@ -73,8 +73,9 @@ def density_from_json(n, data):
     if len(shift) != n:
         raise InputError(f"density shift needs {n} coordinates")
     size = params.get(DENSITY_SIZE[kind], 1.0)
-    if not size > 0:
-        raise InputError(f"density {DENSITY_SIZE[kind]} must be positive")
+    if not 0 < size < np.inf:  # an infinite size is no L^1 density
+        raise InputError(f"density {DENSITY_SIZE[kind]} must be positive "
+                         "and finite")
     base = Polynomial.zero(n)
     for k in range(n):
         e = tuple(int(m == k) for m in range(n))

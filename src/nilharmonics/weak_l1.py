@@ -65,6 +65,8 @@ class AtomicMeasure:
                              "measure as xi of shape (0, n)")
         if len(self.w) != len(self.xi):
             raise ValueError("one weight per atom")
+        if not np.isfinite(self.xi).all() or not np.isfinite(self.w).all():
+            raise ValueError("atom coordinates and weights must be finite")
         if np.any(self.w <= 0):
             raise ValueError("atom weights must be positive")
 

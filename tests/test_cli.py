@@ -169,6 +169,11 @@ _MALFORMED_DISTS = {
         "kind": "poly_bump", "params": {"radius": 0}}}]},
     "width-0": {"terms": [{"alpha": [0], "density": {
         "kind": "gaussian", "params": {"width": 0}}}]},
+    # an infinite size makes the density 1 everywhere, which is not L^1
+    "radius-inf": {"terms": [{"alpha": [0], "density": {
+        "kind": "poly_bump", "params": {"radius": float("inf")}}}]},
+    "width-inf": {"terms": [{"alpha": [0], "density": {
+        "kind": "gaussian", "params": {"width": float("inf")}}}]},
     "no-alpha": {"terms": [{"density": _GAUSS}]},
     "no-density": {"terms": [{"alpha": [0]}]},
     "alpha-5": {"terms": [{"alpha": 5, "density": _GAUSS}]},
@@ -492,6 +497,24 @@ def test_covering_parameter_out_of_range_is_input_error(tmp_path, capsys,
     assert main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("atom", [
+    {"xi": [0.0], "w": float("inf")}, {"xi": [0.0], "w": float("nan")},
+    {"xi": [float("nan")], "w": 1.0}, {"xi": [float("inf")], "w": 1.0},
+], ids=["w-inf", "w-nan", "xi-nan", "xi-inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_measure_is_input_error(tmp_path, capsys, atom):
+    measure = tmp_path / "nu.json"
+    measure.write_text(json.dumps({"atoms": [atom]}))
+    out = str(tmp_path / "w.json")
+    assert main(["weakl1", "run", "--spec", "abelian_R1", "--gamma", "1",
+                 "--measure", str(measure), "--alpha", "0.1", "--i0", "2",
+                 "--depth", "3", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "finite" in err
+    assert "Traceback" not in err
     assert not os.path.exists(out)
 
 

@@ -5,7 +5,8 @@ import pytest
 import scipy.integrate as si
 from numpy.testing import assert_allclose
 
-from nilharmonics.calculus import OperatorWord, central_difference
+from nilharmonics.calculus import OperatorWord, central_difference, \
+    leibniz_tilde_coeff
 from nilharmonics.distributions import (
     DistributionRep, TestFunction, boundary_convergence,
     extension_weighted_norm, flat_top_profile, pair, poisson_extend,
@@ -119,9 +120,9 @@ def test_density_l1_norm_gaussian():
 def test_normal_form_mu_zero_is_trivial():
     g = line_gaussian()
     T = DistributionRep(LINE, LNORM, 1.0, [((1,), g)], mu=0.0)
-    # the weight is 1, stored as None, so the lower-order correction keeps
-    # its key and has no piece
-    assert T.normal_form == {(0,): [], (1,): [(1, None, g)]}
+    # the weight is 1, stored as None, so the lower-order correction has
+    # no piece and no key
+    assert T.normal_form == {(1,): [(1, None, g)]}
 
 
 def test_normal_form_moves_the_weight_inside():
@@ -448,15 +449,20 @@ def test_scaled_chart_evaluates_the_density_near_its_support(monkeypatch,
         assert 0 < sum(read) <= 0.25 * len(etas) * 13 ** 3 * terms
 
 
+def heis_three_terms():
+    """Weighted Heisenberg terms of orders 1, 2 and 3 on shifted bumps."""
+    alphas = [(1, 0, 0), (0, 1, 1), (2, 1, 0)]
+    shifts = [(0.3, 0.2, -0.1), (-0.2, 0.1, 0.2), (0.1, -0.3, 0.0)]
+    return [(alpha, heis_bump(1.2, shift))
+            for alpha, shift in zip(alphas, shifts)]
+
+
 def test_multi_term_distribution_is_the_sum_of_its_terms():
     # T = T1 + T2 + T3 with weighted terms of orders 1, 2 and 3: the normal
     # form of T regroups the pieces of all three by beta, so its
     # extensions and pairing differ from the sums over the Ti by summation
     # order only
-    alphas = [(1, 0, 0), (0, 1, 1), (2, 1, 0)]
-    shifts = [(0.3, 0.2, -0.1), (-0.2, 0.1, 0.2), (0.1, -0.3, 0.0)]
-    terms = [(alpha, heis_bump(1.2, shift))
-             for alpha, shift in zip(alphas, shifts)]
+    terms = heis_three_terms()
     T = DistributionRep(HEIS, HNORM, 1.0, terms)
     parts = [DistributionRep(HEIS, HNORM, 1.0, [term]) for term in terms]
     assert T.mu == 5.0
@@ -478,6 +484,73 @@ def test_multi_term_distribution_is_the_sum_of_its_terms():
     agree(lambda S: poisson_extend_scaled(S, ker, 0.5, etas, span=4.0,
                                           count=13))
     agree(lambda S: pair(S, phi, grid))
+
+
+def written_out_pairing(T, phi_field, grid):
+    """<T, phi> as the Leibniz sum written out from T's terms: over each
+    term (alpha, f) and beta <= alpha, (-1)^{|beta|} c times the grid sum
+    of (Xt^{alpha-beta} omega) f Xt^beta phi, with
+    c = (-1)^{|alpha|-|beta|} lambda(alpha, beta)."""
+    w = weight_field(T.norm, T.mu)
+    pts = grid.points
+    total = 0.0
+    for alpha, f in T.terms:
+        for beta in sub_multi_indices(alpha):
+            diff = tuple(a - b for a, b in zip(alpha, beta))
+            wd = OperatorWord(T.spec, "Xt", diff).apply_symbolic(w)
+            dphi = OperatorWord(T.spec, "Xt", beta).apply_symbolic(phi_field)
+            c = (-1) ** sum(diff) * leibniz_tilde_coeff(alpha, beta)
+            total += (-1) ** sum(beta) * c * float(np.sum(
+                wd.eval(pts) * f.eval(pts) * dphi.eval(pts) * grid.weights))
+    return total
+
+
+@pytest.mark.parametrize("case", ["line", "heisenberg"])
+def test_pair_is_the_written_out_leibniz_sum(case):
+    # pair is the S'-convolution at the identity; on identical grids it
+    # differs from the sum written out term by term in summation order only
+    if case == "line":
+        terms = [((1,), line_gaussian()), ((2,), line_gaussian(0.8, -0.3))]
+        T = DistributionRep(LINE, LNORM, 1.0, terms)
+        phi_field = line_gaussian(2.0, 1.0)
+        grid = Grid([0.0], [16.0], [1201])
+    else:
+        T = DistributionRep(HEIS, HNORM, 1.0, heis_three_terms())
+        phi_field = heis_bump(2.0)
+        grid = Grid([0.0] * 3, [1.5] * 3, [11] * 3)
+    got = pair(T, TestFunction(T.spec, phi_field, "schwartz-like"), grid)
+    assert_allclose(got, written_out_pairing(T, phi_field, grid),
+                    rtol=1e-13)
+
+
+@pytest.mark.parametrize("mu", [0.0, None])
+def test_pair_reads_the_test_function_at_weighted_nodes_only(monkeypatch,
+                                                             mu):
+    # acceptance 09's order-1 Heisenberg triple: each word Xt^beta phi is
+    # evaluated only where its piece's density times the grid weight is
+    # nonzero, for mu = 0 and for mu = Q + Gamma
+    f = heis_bump(1.2, (0.3, 0.2, -0.1))
+    T = DistributionRep(HEIS, HNORM, 1.0, [((1, 0, 0), f)], mu=mu)
+    phi = TestFunction(HEIS, heis_bump(2.0), "schwartz-like")
+    grid = Grid([0.3, 0.2, -0.1], [1.3] * 3, [21] * 3)
+    weights = [wd for pieces in T.normal_form.values()
+               for _, wd, _ in pieces]
+    weighted = sum(np.count_nonzero(
+        f.eval(grid.points) * (1.0 if wd is None else wd.eval(grid.points))
+        * grid.weights) for wd in weights)
+    assert 0 < weighted < 0.5 * len(weights) * grid.weights.size
+    densities = {id(f)} | {id(wd) for wd in weights}
+    read = []
+    field_eval = SmoothField.eval
+
+    def spy(self, theta):
+        if id(self) not in densities:
+            read.append(np.size(theta) // 3)
+        return field_eval(self, theta)
+
+    monkeypatch.setattr(SmoothField, "eval", spy)
+    pair(T, phi, grid)
+    assert sum(read) == weighted
 
 
 def test_first_form_evaluates_the_kernel_at_weighted_nodes_only():

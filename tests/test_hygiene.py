@@ -4,7 +4,8 @@ reaches a verdict, no module reaches into another
 object's private attributes, and each numerical idiom (the tensor grid,
 the finite-difference stencil, the kernel field, the support-box pruning,
 the certification sweep, the dilation, the batch budget, the Leibniz
-expansion of a distribution) is called from one place only."""
+expansion of a distribution and its reader) is called from one place
+only."""
 
 import ast
 import sys
@@ -68,24 +69,39 @@ def test_no_private_attribute_access(module):
         == []
 
 
-def calls_of(source, name):
-    """(line, innermost enclosing function or None) of each call of
-    `name`, written either `name(...)` or `module.name(...)`."""
+def scopes_of(tree, matches):
+    """(line, innermost enclosing function or None) of each node of an
+    ast for which matches(node) holds."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                f = child.func
-                called = f.id if isinstance(f, ast.Name) else \
-                    f.attr if isinstance(f, ast.Attribute) else None
-                if called == name:
-                    found.append((child.lineno, scope))
+            if matches(child):
+                found.append((child.lineno, scope))
             visit(child, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
 
-    visit(ast.parse(source), None)
+    visit(tree, None)
     return sorted(found, key=lambda item: item[0])
+
+
+def calls_of(source, name):
+    """(line, innermost enclosing function or None) of each call of
+    `name`, written either `name(...)` or `module.name(...)`."""
+    def called(node):
+        f = node.func
+        return f.id if isinstance(f, ast.Name) else \
+            f.attr if isinstance(f, ast.Attribute) else None
+
+    return scopes_of(ast.parse(source), lambda node: isinstance(
+        node, ast.Call) and called(node) == name)
+
+
+def attribute_uses(source, name):
+    """(line, innermost enclosing function or None) of each x.name, read
+    or written."""
+    return scopes_of(ast.parse(source), lambda node: isinstance(
+        node, ast.Attribute) and node.attr == name)
 
 
 def test_calls_are_found():
@@ -97,6 +113,15 @@ def test_calls_are_found():
               "np.meshgrid(3)\n")
     assert calls_of(source, "meshgrid") == [
         (3, "tensor_grid"), (5, "other"), (6, None)]
+
+
+def test_attribute_uses_are_found():
+    source = ("class A:\n"
+              "    def __init__(self):\n"
+              "        self.form = {}\n"
+              "def read(a):\n"
+              "    return a.form, a.formal, form\n")
+    assert attribute_uses(source, "form") == [(3, "__init__"), (5, "read")]
 
 
 def callers(name):
@@ -123,11 +148,21 @@ def test_distributions_has_no_group_law_loop():
 
 def test_one_leibniz_expansion_per_distribution():
     # a distribution's normal form is built once, when it is constructed;
-    # the pairing and both Poisson extensions read it, and the conversion
-    # constants of calculus are the other expansion
+    # the conversion constants of calculus are the other expansion
     assert callers("leibniz_tilde_coeff") == {
         ("distributions.py", "__init__"),
         ("calculus.py", "fundlink_constants")}
+
+
+def test_one_reader_of_the_normal_form():
+    # the pairing is the S'-convolution at the identity, so the Leibniz
+    # sum over the normal form that DistributionRep.__init__ builds is
+    # read in _convolve_terms alone
+    assert {(path.name, scope) for path in SRC.glob("*.py")
+            for _, scope in attribute_uses(
+                path.read_text(encoding="utf-8"), "normal_form")} == {
+        ("distributions.py", "__init__"),
+        ("distributions.py", "_convolve_terms")}
 
 
 def test_zero_pairs_are_pruned_in_the_pair_loop_only():
@@ -248,17 +283,7 @@ def weight_powers(source):
                     if isinstance(node, ast.BinOp)
                     and isinstance(node.op, ast.Pow)
                     and reads(node.right, bound)}
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if id(child) in flagged:
-                found.append((child.lineno, scope))
-            visit(child, child.name if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
-
-    visit(tree, None)
-    return sorted(found, key=lambda item: item[0])
+    return scopes_of(tree, lambda node: id(node) in flagged)
 
 
 def test_weight_powers_are_found():
