@@ -48,6 +48,8 @@ class InvariantField:
     def __init__(self, spec: GroupSpec, side, j):
         if not 0 <= j < spec.n:
             raise ValueError("field index out of range")
+        if side not in ("left", "right"):
+            raise ValueError(f"unknown side {side!r}")
         self.spec = spec
         n = spec.n
         coeffs = [Polynomial.zero(n) for _ in range(n)]
@@ -58,8 +60,6 @@ class InvariantField:
                 coeffs[k] = coeffs[k] + Polynomial(n, {alpha: c})
             elif side == "right" and alpha == ej:
                 coeffs[k] = coeffs[k] + Polynomial(n, {beta: c})
-            elif side not in ("left", "right"):
-                raise ValueError(f"unknown side {side!r}")
         self.coeffs = coeffs
 
     def apply_symbolic(self, f):

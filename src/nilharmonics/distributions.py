@@ -5,13 +5,13 @@ A distribution here is stored in the representation
     T = omega_mu * sum_alpha X^alpha f_alpha,        f_alpha in L^1,
 
 with mu = Q + Gamma matching the kernel family in use.  Everything the
-extension theory needs — the normal form with the weight moved inside the
-derivatives, the S'-convolution T * psi (the Poisson extension T * P_a,
-and the pairing <T, phi> = (T * phi-check)(e) at the identity), weighted
-norms of its invariant derivatives, and boundary convergence tables —
-reduces to integrals of the sampled densities against exact symbolic
-derivatives of the weight and of the convolved field.  _convolve_terms is
-the one reader of the normal form.
+extension theory needs — the normal form T = sum_beta X^beta g_beta with
+the weight moved inside the derivatives, the S'-convolution T * psi =
+sum_beta g_beta * Yt^beta psi (the Poisson extension T * P_a, and the
+pairing <T, phi> = (T * phi-check)(e)), weighted norms of its invariant
+derivatives, and boundary convergence tables — reduces to integrals of the
+sampled densities against exact symbolic derivatives of the weight and of
+the convolved field.  _convolve_terms is the one reader of the normal form.
 """
 
 from __future__ import annotations
@@ -102,8 +102,7 @@ class DistributionRep:
         self.spec, self.norm = spec, norm
         self.Gamma = float(Gamma)
         self.mu = float(spec.Q) + self.Gamma if mu is None else float(mu)
-        self.terms = [(tuple(int(v) for v in alpha), f)
-                      for alpha, f in terms]
+        self.terms = [(_multi_index(spec, alpha), f) for alpha, f in terms]
         weight = weight_field(norm, self.mu)
         self.normal_form = {}
         for alpha, f in self.terms:
@@ -120,50 +119,59 @@ class DistributionRep:
                      wd, f))
 
 
+def _multi_index(spec: GroupSpec, alpha):
+    """alpha as a tuple of spec.n non-negative integers, or ValueError."""
+    try:
+        out = tuple(int(v) for v in alpha)
+        exact = list(out) == list(alpha)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact or len(out) != spec.n or min(out) < 0:
+        raise ValueError(f"bad multi-index {alpha!r} for n = {spec.n}")
+    return out
+
+
 def _weighted(wd, f):
     """The density (Xt^{alpha-beta} omega) f of a normal-form piece: f
     alone when the weight is 1."""
     return f if wd is None else (lambda p: _evaluate(f, p) * wd.eval(p))
 
 
-def _convolve_terms(T: DistributionRep, psi_check_field: SmoothField, eta,
-                    grid: Grid, iota=None, form="first"):
-    """(T * psi)(eta) = sum_beta (-1)^{|beta|} (g_beta * G_beta)(eta) over
-    T's normal form, with G_beta = (Xt^beta psi-check)-check built once per
-    beta and one group convolution per piece of g_beta.  With iota set,
-    the outer word is taken under the integral: X^iota (u * G) =
-    u * X^iota G.  A piece vanishes wherever its f does, so f's support
-    box bounds it."""
+def _convolve_terms(T: DistributionRep, psi: SmoothField, eta, grid: Grid,
+                    iota=None, form="first"):
+    """(T * psi)(eta) = sum_beta (g_beta * Yt^beta psi)(eta) over T's
+    normal form, as (X^beta g) * psi = g * Yt^beta psi: Yt^beta psi is
+    built once per beta, X^iota of it with iota set (X^iota (u * G) =
+    u * X^iota G), and each piece of g_beta is one group convolution; in
+    the second form f's support box bounds the piece."""
     spec = T.spec
     out = np.zeros(np.shape(eta)[:-1])
     for beta, pieces in T.normal_form.items():
-        g = OperatorWord(spec, "Xt", beta).apply_symbolic(
-            psi_check_field).negate_coords()
+        g = OperatorWord(spec, "Yt", beta).apply_symbolic(psi)
         if iota is not None and sum(iota) > 0:
             g = OperatorWord(spec, "X", iota).apply_symbolic(g)
         for c, wd, f in pieces:
-            box = f.support_box() if isinstance(f, SmoothField) else None
-            out = out + (-1) ** sum(beta) * c * convolve(
-                spec, _weighted(wd, f), g, eta, grid, form=form,
-                support=box)
+            box = f.support_box() if form == "second" \
+                and isinstance(f, SmoothField) else None
+            out = out + c * convolve(spec, _weighted(wd, f), g, eta, grid,
+                                     form=form, support=box)
     return out
 
 
 def pair(T: DistributionRep, phi: TestFunction, grid: Grid):
     """<T, phi> = (T * phi-check)(e): the first form of _convolve_terms on
-    the density grid at the identity, where each G_beta(xi^{-1}) is
-    Xt^beta phi(xi), so the sum is sum_beta (-1)^{|beta|} int g_beta
-    Xt^beta phi.  The words of phi are exact, so phi.func must be a
-    Polynomial or a SmoothField."""
-    return float(_convolve_terms(T, phi.func, T.spec.identity(), grid))
+    the density grid at the identity, where (Yt^beta phi-check)(xi^{-1})
+    is (-1)^{|beta|} Xt^beta phi(xi).  The words of phi are exact, so
+    phi.func must be a SmoothField."""
+    return float(_convolve_terms(T, phi.func.negate_coords(),
+                                 T.spec.identity(), grid))
 
 
-def _pa_check(T: DistributionRep, kernel: KernelSpec, a):
-    """P_a-check for an extension of T, refusing a kernel with another
-    Gamma (dilated_field refuses a non-positive scale)."""
+def _p_a(T: DistributionRep, kernel: KernelSpec, a):
+    """P_a for an extension of T; a kernel with another Gamma is refused."""
     if abs(T.Gamma - kernel.Gamma) > 1e-12:
         raise ValueError("distribution and kernel carry different Gamma")
-    return dilated_field(kernel, a).negate_coords()
+    return dilated_field(kernel, a)
 
 
 def poisson_extend(T: DistributionRep, kernel: KernelSpec, a, eta,
@@ -171,7 +179,7 @@ def poisson_extend(T: DistributionRep, kernel: KernelSpec, a, eta,
     """The function (T * P_a)(eta), in the first form over the density
     grid; with iota, X^iota(T * P_a)(eta) with the derivative taken under
     the integral."""
-    return _convolve_terms(T, _pa_check(T, kernel, a), eta, grid, iota=iota)
+    return _convolve_terms(T, _p_a(T, kernel, a), eta, grid, iota=iota)
 
 
 def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
@@ -181,10 +189,10 @@ def poisson_extend_scaled(T: DistributionRep, kernel: KernelSpec, a, eta,
     zeta-box of half-widths (span/a)^{d_k}, so one zeta resolution serves
     every scale a, and the box covers any density supported in a euclidean
     box of size ~span around eta."""
-    pa_check = _pa_check(T, kernel, a)
+    pa = _p_a(T, kernel, a)
     grid = box_grid(T.spec, span, count, grading=_grading_for(
         T.spec, span / a, count, center_spacing=6.0 / count))
-    return _convolve_terms(T, pa_check, eta, grid, form="second")
+    return _convolve_terms(T, pa, eta, grid, form="second")
 
 
 def sconvolvability_witness(kernel: KernelSpec, phi, grid: Grid, radius=50.0,

@@ -10,6 +10,7 @@ import os
 import numpy as np
 
 from . import __version__
+from .distributions import DistributionRep
 from .group_core import GroupSpec, abelian, heisenberg
 from .polynomials import Polynomial, SmoothField, gaussian_profile, \
     poly_bump_profile
@@ -94,14 +95,10 @@ def density_from_json(n, data):
 
 def load_distribution(path, spec, norm, Gamma):
     """A DistributionRep from {mu, terms: [{alpha, density}]}."""
-    from .distributions import DistributionRep
     data = load_json(path)
     try:
-        terms = [(tuple(int(v) for v in t["alpha"]),
-                  density_from_json(spec.n, t["density"]))
+        terms = [(t["alpha"], density_from_json(spec.n, t["density"]))
                  for t in data.get("terms", [])]
-        if any(len(alpha) != spec.n for alpha, _ in terms):
-            raise InputError(f"alpha needs {spec.n} entries")
         if not terms:
             raise InputError("distribution needs at least one term")
         return DistributionRep(spec, norm, Gamma, terms, mu=data.get("mu"))

@@ -92,7 +92,8 @@ def scale_derivative(kernel: KernelSpec, k, a):
         for j, d in enumerate(spec.weights):
             Ef = Ef + f.diff(j) * (Polynomial.coordinate(spec.n, j) * -d)
         f = Ef
-    return f.dilate_arg(1.0 / a, spec.weights) * float(a) ** -float(spec.Q)
+    return f.rescale(spec.dilate(1.0 / a, np.ones(spec.n))) \
+        * float(a) ** -float(spec.Q)
 
 
 def _sweep_points(norm: HomogeneousNorm, radius, n_dirs, n_radii, seed=0):

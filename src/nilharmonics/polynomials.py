@@ -117,20 +117,13 @@ class Polynomial:
     def __call__(self, theta):
         return self.eval(theta)
 
-    def dilate(self, a, weights):
-        """Precompose with the dilation theta_k -> a^{d_k} theta_k."""
-        out = {}
-        for e, c in self.coeffs.items():
-            w = sum(p * float(d) for p, d in zip(e, weights))
-            out[e] = c * a ** w if w else c
-        return Polynomial(self.n, out)
-
-    def negate_coords(self):
-        """Precompose with coordinate negation theta -> -theta."""
-        out = {}
-        for e, c in self.coeffs.items():
-            out[e] = -c if sum(e) % 2 else c
-        return Polynomial(self.n, out)
+    def rescale(self, s):
+        """Precompose with theta_k -> s_k theta_k (delta_a for s_k = a^{d_k},
+        the check map for s = -1), exactly where every s_k is an integer."""
+        s = [int(v) if float(v).is_integer() else float(v)
+             for v in np.broadcast_to(s, self.n)]
+        return Polynomial(self.n, {e: c * math.prod(map(pow, s, e))
+                                   for e, c in self.coeffs.items()})
 
     def is_homogeneous(self, weights, degree):
         """Every monomial theta^e has homogeneous degree d(e) = degree."""
@@ -401,12 +394,11 @@ class SmoothField:
         return SmoothField(self.base, self.profile,
                            {k: other * p for k, p in self.terms.items()})
 
+    def rescale(self, s):
+        """theta -> f(s_1 theta_1, ..., s_n theta_n), as Polynomial.rescale."""
+        return SmoothField(self.base.rescale(s), self.profile,
+                           {k: p.rescale(s) for k, p in self.terms.items()})
+
     def negate_coords(self):
         """The check map: f -> f(-theta) (group inverse in exp coordinates)."""
-        return SmoothField(self.base.negate_coords(), self.profile,
-                           {k: p.negate_coords() for k, p in self.terms.items()})
-
-    def dilate_arg(self, a, weights):
-        """Precompose with delta_a: returns theta -> f(delta_a theta)."""
-        return SmoothField(self.base.dilate(a, weights), self.profile,
-                           {k: p.dilate(a, weights) for k, p in self.terms.items()})
+        return self.rescale(-1)

@@ -51,6 +51,14 @@ class TestFields:
                 assert X.coeffs[k].constant_term() == want
                 assert X.coeffs[k].is_constant()
 
+    @pytest.mark.parametrize("G", [abelian(2), heisenberg()],
+                             ids=["abelian", "heisenberg"])
+    def test_unknown_side_rejected(self, G):
+        # refused before the structure terms are read, so also on a group
+        # that has none
+        with pytest.raises(ValueError, match="unknown side"):
+            calculus.InvariantField(G, "bogus", 0)
+
     def test_heisenberg_left_fields(self):
         # X1 = dx - (y/2) dt, X2 = dy + (x/2) dt, X3 = dt
         G = heisenberg()

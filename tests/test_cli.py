@@ -177,6 +177,9 @@ _MALFORMED_DISTS = {
     "no-alpha": {"terms": [{"density": _GAUSS}]},
     "no-density": {"terms": [{"alpha": [0]}]},
     "alpha-5": {"terms": [{"alpha": 5, "density": _GAUSS}]},
+    # refused, not read as an empty normal form or truncated to order 0
+    "alpha-negative": {"terms": [{"alpha": [-1], "density": _GAUSS}]},
+    "alpha-fractional": {"terms": [{"alpha": [0.5], "density": _GAUSS}]},
     # (1 - u)^power is not integrable at the support edge for power <= 0
     "power--1": {"terms": [{"alpha": [0], "density": {
         "kind": "poly_bump", "params": {"power": -1}}}]},

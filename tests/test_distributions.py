@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.integrate as si
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nilharmonics.calculus import OperatorWord, central_difference, \
     leibniz_tilde_coeff
@@ -12,7 +12,8 @@ from nilharmonics.distributions import (
     extension_weighted_norm, flat_top_profile, pair, poisson_extend,
     poisson_extend_scaled, sconvolvability_witness, sub_multi_indices,
     weight_field, _convolve_terms)
-from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg
+from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg, \
+    random_step2
 from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
 from nilharmonics.polynomials import (Jet, Polynomial, SmoothField,
                                       gaussian_profile, poly_bump_profile)
@@ -31,14 +32,16 @@ def line_gaussian(width=1.0, shift=0.0):
 
 
 def heis_bump(radius=1.5, shift=(0.0, 0.0, 0.0)):
+    """(1 - |theta - shift|^2 / radius^2)^6 on n = len(shift) coordinates."""
+    n = len(shift)
     coeffs = {}
-    for k in range(3):
-        e2 = tuple(2 * (j == k) for j in range(3))
-        e1 = tuple(1 * (j == k) for j in range(3))
+    for k in range(n):
+        e2 = tuple(2 * (j == k) for j in range(n))
+        e1 = tuple(1 * (j == k) for j in range(n))
         coeffs[e2] = coeffs.get(e2, 0) + 1.0
         coeffs[e1] = coeffs.get(e1, 0) - 2.0 * shift[k]
-    coeffs[(0, 0, 0)] = sum(s * s for s in shift)
-    base = Polynomial(3, coeffs)
+    coeffs[(0,) * n] = sum(s * s for s in shift)
+    base = Polynomial(n, coeffs)
     return SmoothField(base * (1.0 / radius ** 2), poly_bump_profile(1.0, 6))
 
 
@@ -107,6 +110,23 @@ def test_sub_multi_indices_count():
 def test_order_cap_enforced():
     with pytest.raises(ValueError):
         DistributionRep(LINE, LNORM, 1.0, [((4,), line_gaussian())])
+
+
+@pytest.mark.parametrize("alpha", [(-1,), (0.5,), (0, 0), (), ("1",),
+                                   (float("nan"),), (float("inf"),), 1],
+                         ids=["negative", "fractional", "long", "empty",
+                              "string", "nan", "inf", "scalar"])
+def test_multi_index_refused(alpha):
+    # a negative entry would give an empty normal form and a fractional one
+    # would be truncated; both are refused like a wrong length
+    with pytest.raises(ValueError):
+        DistributionRep(LINE, LNORM, 1.0, [(alpha, line_gaussian())])
+
+
+def test_integral_multi_index_accepted():
+    T = DistributionRep(HEIS, HNORM, 1.0,
+                        [([np.int64(1), 0.0, 2], heis_bump())])
+    assert T.terms[0][0] == (1, 0, 2)
 
 
 def test_density_l1_norm_gaussian():
@@ -331,7 +351,7 @@ def test_scale_derivative_two_paths():
     lhs = (poisson_extend(T, ker, a * np.exp(hs), eta, grid)
            - poisson_extend(T, ker, a * np.exp(-hs), eta, grid)) / (2 * hs)
     sdf = scale_derivative(ker, 1, a)
-    rhs = _convolve_terms(T, sdf.negate_coords(), eta, grid)
+    rhs = _convolve_terms(T, sdf, eta, grid)
     assert np.max(np.abs(lhs - rhs)) < 1e-4
 
 
@@ -521,6 +541,56 @@ def test_pair_is_the_written_out_leibniz_sum(case):
     got = pair(T, TestFunction(T.spec, phi_field, "schwartz-like"), grid)
     assert_allclose(got, written_out_pairing(T, phi_field, grid),
                     rtol=1e-13)
+
+
+def written_out_convolution(T, psi, eta, grid, iota=None, form="first"):
+    """(T * psi)(eta) by the check-map formula: over the pieces (c, wd, f)
+    of T's normal form, in its order, (-1)^{|beta|} c times the group
+    convolution of (Xt^{alpha-beta} omega) f with (Xt^beta psi-check)-check,
+    X^iota taken of the latter."""
+    out = np.zeros(np.shape(eta)[:-1])
+    for beta, pieces in T.normal_form.items():
+        g = OperatorWord(T.spec, "Xt", beta).apply_symbolic(
+            psi.negate_coords()).negate_coords()
+        if iota is not None:
+            g = OperatorWord(T.spec, "X", iota).apply_symbolic(g)
+        for c, wd, f in pieces:
+            u = f if wd is None else \
+                (lambda p, wd=wd, f=f: f.eval(p) * wd.eval(p))
+            box = f.support_box() if form == "second" else None
+            out = out + (-1) ** sum(beta) * c * convolve(
+                T.spec, u, g, eta, grid, form=form, support=box)
+    return out
+
+
+@pytest.mark.parametrize("a", [0.5, 0.3])
+@pytest.mark.parametrize("iota", [False, True])
+@pytest.mark.parametrize("form", ["first", "second"])
+@pytest.mark.parametrize("case", ["heisenberg", "random_step2"])
+def test_convolve_terms_is_the_check_map_formula(case, form, iota, a):
+    # (X^beta g) * psi = g * Yt^beta psi, and Yt^beta psi is
+    # (-1)^{|beta|} (Xt^beta psi-check)-check: exactly at a dyadic a, whose
+    # P_a has exact coefficients, and by rounding only elsewhere
+    if case == "heisenberg":
+        T = DistributionRep(HEIS, HNORM, 1.0, heis_three_terms())
+        grid = Grid([0.0] * 3, [1.5] * 3, [11] * 3)
+    else:
+        spec = random_step2(3, 2, 11)
+        norm = HomogeneousNorm(spec, "even-power")
+        T = DistributionRep(spec, norm, 1.0, [(
+            (1, 0, 0, 1, 0), heis_bump(1.2, 0.1 * np.arange(5)))])
+        grid = Grid([0.0] * 5, [1.4] * 5, [7] * 5)
+    spec = T.spec
+    psi = dilated_field(KernelSpec(spec, T.norm, "model_power",
+                                   Gamma=1.0), a)
+    word = (0, 1) + (0,) * (spec.n - 2) if iota else None
+    eta = np.random.default_rng(4).uniform(-1.0, 1.0, (3, spec.n))
+    got = _convolve_terms(T, psi, eta, grid, iota=word, form=form)
+    want = written_out_convolution(T, psi, eta, grid, iota=word, form=form)
+    if a == 0.5:
+        assert_array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mu", [0.0, None])

@@ -303,12 +303,21 @@ def test_weight_powers_are_found():
 
 
 def test_dilations_only_through_group_spec():
-    # every delta_a outside group_core is GroupSpec.dilate; precomposing a
-    # polynomial with delta_a rescales its coefficients instead
+    # every delta_a outside group_core is GroupSpec.dilate; a field is
+    # precomposed with delta_a by rescale(GroupSpec.dilate(a, ones))
     assert {(path.name, scope) for path in SRC.glob("*.py")
             if path.name != "group_core.py"
             for _, scope in weight_powers(path.read_text(encoding="utf-8"))} \
-        == {("polynomials.py", "dilate")}
+        == set()
+
+
+def test_check_maps_only_in_the_pairing_and_the_witness():
+    # T * psi = sum_beta g_beta * Yt^beta psi takes psi itself, so a check
+    # map is taken only for phi-check in <T, phi> = (T * phi-check)(e) and
+    # for P-check in the witness phi * P-check
+    assert callers("negate_coords") == {
+        ("distributions.py", "pair"),
+        ("distributions.py", "sconvolvability_witness")}
 
 
 ROOT = SRC.parent.parent

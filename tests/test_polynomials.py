@@ -141,6 +141,11 @@ def test_poly_eval_is_within_the_horner_bound(poly, batch, coordinate_major,
         terms = [Fraction(c) * math.prod(t ** p for t, p in zip(point, e))
                  for e, c in poly.coeffs.items()]
         bound = 4 * deg * np.finfo(float).eps * float(sum(map(abs, terms)))
+        # a product that underflows errs by up to one subnormal unit more,
+        # which later products by theta scale (Higham, sec. 2.1)
+        bound += (2 * deg + n) * len(poly.coeffs) \
+            * np.finfo(float).smallest_subnormal \
+            * max(1.0, float(np.max(np.abs(theta[idx]), initial=0.0))) ** deg
         assert abs(Fraction(float(got[idx])) - sum(terms)) <= bound
 
 

@@ -1,7 +1,8 @@
 """Property tests on random step-2 groups: the group law and its
-coordinate-major layout, the dilations, the check map, the exact operator
-words and the batched finite-difference stencil, the exact scale derivatives
-of the model kernel, the gauge box, and the pruned convolution."""
+coordinate-major layout, the dilations, the check map and the rescaled
+fields, the exact operator words and the batched finite-difference stencil,
+the exact scale derivatives of the model kernel, the gauge box, and the
+pruned convolution."""
 
 import numpy as np
 import pytest
@@ -113,6 +114,19 @@ def test_negate_coords_is_the_check_map(spec, seed, data):
     eta = points(spec, seed)
     assert_array_equal(field.negate_coords()(eta),
                        check_map(spec, field)(eta))
+
+
+@PROPERTY
+@given(step2_specs(), st.integers(0, 2 ** 16), st.floats(0.1, 10.0),
+       st.data())
+def test_rescale_by_the_dilation_is_precomposition(spec, seed, a, data):
+    # with s = delta_a (1, ..., 1), rescale(s) is f o delta_a
+    field = model_kernel(spec, 1.0).field
+    field = field.diff(data.draw(st.integers(0, spec.n - 1)))
+    eta = points(spec, seed, scale=1.0)
+    want = field(spec.dilate(a, eta))
+    assert_allclose(field.rescale(spec.dilate(a, np.ones(spec.n)))(eta),
+                    want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
 
 @PROPERTY
