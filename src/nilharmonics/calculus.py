@@ -110,6 +110,18 @@ def build_field(spec: GroupSpec, side, j):
     return InvariantField(spec, side, j)
 
 
+def _multi_index(spec: GroupSpec, alpha):
+    """alpha as a tuple of spec.n non-negative integers, or ValueError."""
+    try:
+        out = tuple(int(v) for v in alpha)
+        exact = list(out) == list(alpha)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact or len(out) != spec.n or min(out) < 0:
+        raise ValueError(f"bad multi-index {alpha!r} for n = {spec.n}")
+    return out
+
+
 class OperatorWord:
     """Ordered composition of invariant fields for a multi-index alpha.
 
@@ -119,9 +131,7 @@ class OperatorWord:
     """
 
     def __init__(self, spec: GroupSpec, kind, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != spec.n or any(a < 0 for a in alpha):
-            raise ValueError("invalid multi-index")
+        alpha = _multi_index(spec, alpha)
         side = "left" if kind in ("X", "Xt") else "right"
         if kind not in ("X", "Xt", "Y", "Yt"):
             raise ValueError(f"unknown word kind {kind!r}")
@@ -242,7 +252,7 @@ class ConversionTable:
 def build_conversion(spec: GroupSpec, alpha):
     """The conversion table of tilde-Y^alpha, |alpha| <= 3, shared by every
     spec equal to this one."""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = _multi_index(spec, alpha)
     if sum(alpha) > 3:
         raise ValueError("conversion tables are built for |alpha| <= 3")
     return _conversion_table(spec, alpha)
@@ -347,15 +357,18 @@ def fundlink_residual(spec, alpha, test_functions, etas):
 
 def integrate_by_parts_residual(spec, kind, alpha, f, g, grid):
     """|int (W^alpha f) g - (-1)^{|alpha|} int f (W-tilde^alpha g)| for the
-    dual pairs (X, Xt) and (Y, Yt); f, g supported inside the grid."""
+    dual pairs (X, Xt) and (Y, Yt); f, g supported inside the grid.  Both
+    integrands vanish where f does, so a SmoothField f's support box cuts
+    the grid the sums run over."""
     pairs = {"X": "Xt", "Xt": "X", "Y": "Yt", "Yt": "Y"}
     wf = OperatorWord(spec, kind, alpha)
     wg = OperatorWord(spec, pairs[kind], alpha)
     sgn = (-1) ** sum(alpha)
-    lhs = np.sum(wf.apply(f, grid.points) * _evaluate(g, grid.points)
-                 * grid.weights)
-    rhs = sgn * np.sum(_evaluate(f, grid.points) * wg.apply(g, grid.points)
-                       * grid.weights)
+    box = f.support_box() if isinstance(f, SmoothField) else None
+    index = () if box is None else grid.box_index(*box)
+    pts, wts = grid.points[index], grid.weights[index]
+    lhs = np.sum(wf.apply(f, pts) * _evaluate(g, pts) * wts)
+    rhs = sgn * np.sum(_evaluate(f, pts) * wg.apply(g, pts) * wts)
     return float(abs(lhs - rhs))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import OperatorWord, leibniz_tilde_coeff, \
+from .calculus import OperatorWord, _multi_index, leibniz_tilde_coeff, \
     sub_multi_indices, words_upto_weight
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .kernels import KernelSpec, _sweep_points, dilated_field
@@ -119,18 +119,6 @@ class DistributionRep:
                      wd, f))
 
 
-def _multi_index(spec: GroupSpec, alpha):
-    """alpha as a tuple of spec.n non-negative integers, or ValueError."""
-    try:
-        out = tuple(int(v) for v in alpha)
-        exact = list(out) == list(alpha)
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact or len(out) != spec.n or min(out) < 0:
-        raise ValueError(f"bad multi-index {alpha!r} for n = {spec.n}")
-    return out
-
-
 def _weighted(wd, f):
     """The density (Xt^{alpha-beta} omega) f of a normal-form piece: f
     alone when the weight is 1."""
@@ -142,8 +130,8 @@ def _convolve_terms(T: DistributionRep, psi: SmoothField, eta, grid: Grid,
     """(T * psi)(eta) = sum_beta (g_beta * Yt^beta psi)(eta) over T's
     normal form, as (X^beta g) * psi = g * Yt^beta psi: Yt^beta psi is
     built once per beta, X^iota of it with iota set (X^iota (u * G) =
-    u * X^iota G), and each piece of g_beta is one group convolution; in
-    the second form f's support box bounds the piece."""
+    u * X^iota G), and each piece of g_beta is one group convolution,
+    bounded in either form by the support box of its density f."""
     spec = T.spec
     out = np.zeros(np.shape(eta)[:-1])
     for beta, pieces in T.normal_form.items():
@@ -151,8 +139,7 @@ def _convolve_terms(T: DistributionRep, psi: SmoothField, eta, grid: Grid,
         if iota is not None and sum(iota) > 0:
             g = OperatorWord(spec, "X", iota).apply_symbolic(g)
         for c, wd, f in pieces:
-            box = f.support_box() if form == "second" \
-                and isinstance(f, SmoothField) else None
+            box = f.support_box() if isinstance(f, SmoothField) else None
             out = out + c * convolve(spec, _weighted(wd, f), g, eta, grid,
                                      form=form, support=box)
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .group_core import GroupSpec, HomogeneousNorm, tensor_grid
+from .polynomials import SmoothField
 
 # most float64 elements that one batched step builds at once (2 MB per
 # temporary): a chunk of (eta, xi) or (r, node) pairs, a block of heights
@@ -95,6 +96,14 @@ class Grid:
         self.flat_points = self.points.reshape(-1, n)
         self.flat_weights = self.weights.reshape(-1)
 
+    def box_index(self, lo, hi):
+        """One slice per axis keeping the nodes with lo <= node <= hi:
+        points[index] is the tensor sub-box of the nodes inside the
+        coordinate box (lo, hi), a view in the grid's order."""
+        return tuple(slice(np.searchsorted(x, a, "left"),
+                           np.searchsorted(x, b, "right"))
+                     for x, a, b in zip(self.axes, lo, hi))
+
 
 def box_grid(spec: GroupSpec, radius, count, rule="simpson", grading=None):
     """Box whose axis k extends radius**d_k: the unit cube dilated by
@@ -146,36 +155,48 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first", *,
     form='first' evaluates  int f(xi) g(xi^{-1} eta) dlambda(xi),
     form='second' the equal int f(eta xi^{-1}) g(xi) dlambda(xi).  The
     factor that lives on the grid alone is evaluated once and folded into
-    the weights.  A pair spans its n product coordinates and one value,
-    and the pairs go in _chunks of that size.
+    the weights.  support = (lo, hi) is a coordinate box off which f
+    vanishes, in both forms; it defaults to f.support_box() when f is a
+    SmoothField.  Each block of eta builds its xi^{-1} once, one
+    contiguous array per coordinate.  A pair spans its n product
+    coordinates and one value, and the pairs go in _chunks of that size.
 
     Pairs whose term is exactly 0 are skipped, which changes the sum only
     in its order:
     - in every form, the grid nodes whose folded weight is exactly 0;
-    - in the second form with support = (lo, hi), a coordinate box off
-      which f vanishes, every xi with eta xi^{-1} outside the box on a
+    - in the first form, every node outside the box: f is evaluated on
+      the box's tensor sub-box of the grid alone, so the kept nodes and
+      their order are those of the whole grid;
+    - in the second form, every xi with eta xi^{-1} outside the box on a
       coordinate of weight 1.  There the group law is plain addition
       (GroupSpec.layer1), so (eta xi^{-1})_k = eta_k - xi_k exactly, and
       each eta keeps a sub-box of the tensor grid.
     """
     if form not in ("first", "second"):
         raise ValueError(f"unknown form {form!r}")
+    if support is None and isinstance(f, SmoothField):
+        support = f.support_box()
     eta = np.asarray(eta, dtype=float)
     etas = eta.reshape(-1, spec.n)
     fixed, moving = (f, g) if form == "first" else (g, f)
-    w = _evaluate(fixed, grid.points) * grid.weights
-    blocks = [(np.arange(len(etas)), ())] if support is None \
-        or form == "first" else _sub_boxes(spec, etas, grid, support)
+    box = () if support is None or form == "second" \
+        else grid.box_index(*support)
+    nodes = grid.points[box]
+    w = _evaluate(fixed, nodes) * grid.weights[box]
+    blocks = _sub_boxes(spec, etas, grid, support) if support is not None \
+        and form == "second" else [(np.arange(len(etas)), ())]
     out = np.zeros(len(etas))
     for rows, index in blocks:
         keep = w[index] != 0
-        xi, wk = grid.points[index][keep], w[index][keep]
-        if not len(xi):
+        wk = w[index][keep]
+        if not len(wk):
             continue  # every pair of these eta is 0
-        for blk in _chunks(len(rows), (spec.n + 1) * len(xi)):
+        pts = nodes[index]
+        xi_inv = np.array([-pts[..., k][keep] for k in range(spec.n)]).T
+        for blk in _chunks(len(rows), (spec.n + 1) * len(wk)):
             e = etas[rows[blk], None, :]
-            arg = spec.multiply(-xi[None, :, :], e) if form == "first" \
-                else spec.multiply(e, -xi[None, :, :])
+            arg = spec.multiply(xi_inv[None], e) if form == "first" \
+                else spec.multiply(e, xi_inv[None])
             out[rows[blk]] = _evaluate(moving, arg) @ wk
     return out[0] if eta.ndim == 1 else out.reshape(eta.shape[:-1])
 
@@ -183,20 +204,6 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first", *,
 def check_map(spec: GroupSpec, f):
     """The involution f-check(eta) = f(eta^{-1})."""
     return lambda eta: _evaluate(f, spec.inverse(np.asarray(eta, float)))
-
-
-def approximate_identity(spec: GroupSpec, h, a, mass=1.0):
-    """h_a(eta) = a^{-Q} h(delta_{1/a} eta) / mass, unit total mass if
-    `mass` is the Haar mass of h."""
-    if a <= 0:
-        raise ValueError("scale parameter must be positive")
-    Q = float(spec.Q)
-    inv = 1.0 / float(a)
-
-    def h_a(eta):
-        return inv ** Q * _evaluate(h, spec.dilate(inv, eta)) / mass
-
-    return h_a
 
 
 # -- polar decomposition ----------------------------------------------------

@@ -254,6 +254,20 @@ class TestConversion:
             build_conversion(G, (2, 2, 0))
 
 
+@pytest.mark.parametrize("alpha", [(0.5, 0, 0), (0.7, 0, 0), (-1, 0, 0),
+                                   (1, 0), (1, 0, 0, 0), ("1", 0, 0),
+                                   (float("nan"), 0, 0)],
+                         ids=["half", "fractional", "negative", "short",
+                              "long", "string", "nan"])
+def test_words_and_conversions_refuse_a_bad_multi_index(alpha):
+    # a fractional entry was truncated: the word of (0.5, 0, 0) was the
+    # empty word, and the table of (0.7, 0, 0) the identity
+    with pytest.raises(ValueError, match="bad multi-index"):
+        OperatorWord(heisenberg(), "X", alpha)
+    with pytest.raises(ValueError, match="bad multi-index"):
+        build_conversion(heisenberg(), alpha)
+
+
 class TestCaches:
     def test_equal_specs_share_fields_and_tables(self):
         assert build_field(heisenberg(), "left", 0) \

@@ -296,6 +296,18 @@ def test_calculus_identities_bad_alpha_length(tmp_path, capsys):
     status = main(["calculus", "identities", "--spec", "heisenberg",
                    "--alpha", "1,0", "--report", str(tmp_path / "r.json")])
     assert status == 1
+    assert "bad multi-index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["0,-1,0", "1,0,0,0"])
+def test_calculus_identities_bad_alpha_is_an_input_error(tmp_path, capsys,
+                                                        alpha):
+    # the library's multi-index check is the CLI's
+    status = main(["calculus", "identities", "--spec", "heisenberg",
+                   "--alpha", alpha, "--report", str(tmp_path / "r.json")])
+    assert status == 1
+    assert "bad multi-index" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quad_irs_table(tmp_path):

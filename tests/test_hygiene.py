@@ -166,10 +166,15 @@ def test_one_reader_of_the_normal_form():
 
 
 def test_zero_pairs_are_pruned_in_the_pair_loop_only():
-    # convolve's sub-boxes of the density's support are the one place
-    # that cuts a grid by coordinate
-    assert {module for module, _ in callers("searchsorted")} \
-        == {"quadrature.py"}
+    # a grid is cut by coordinate in quadrature.py alone: Grid.box_index
+    # turns a density's support box into the slices of its sub-box, for
+    # convolve's first form and the by-parts sums, and _sub_boxes gives
+    # each eta of convolve's second form its own sub-box
+    assert callers("searchsorted") == {("quadrature.py", "box_index"),
+                                       ("quadrature.py", "_sub_boxes")}
+    assert callers("box_index") == {
+        ("quadrature.py", "convolve"),
+        ("calculus.py", "integrate_by_parts_residual")}
 
 
 def bound_names(source):
@@ -425,9 +430,6 @@ UNREACHED_ALLOWED = {
     "distributions.certify":
         "TestFunction.certify, the decay-class certificate of a test "
         "function that the claim (A) verdicts pair against",
-    "quadrature.approximate_identity":
-        "the numerical dilate a^{-Q} h(delta_{1/a} .) that tests compare "
-        "the exact dilated_field against",
     "group_core.to_json":
         "the serial form of a group that GroupSpec.from_json and the CLI's "
         "--spec file read",

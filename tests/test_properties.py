@@ -1,8 +1,10 @@
 """Property tests on random step-2 groups: the group law and its
 coordinate-major layout, the dilations, the check map and the rescaled
 fields, the exact operator words and the batched finite-difference stencil,
-the exact scale derivatives of the model kernel, the gauge box, and the
-pruned convolution."""
+the exact scale derivatives of the model kernel, the gauge box, the pruned
+convolution, and the grid cut to a density's support box."""
+
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,13 +12,14 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nilharmonics.calculus import (
-    OperatorWord, central_difference, multi_indices_upto,
+    OperatorWord, central_difference, integrate_by_parts_residual,
+    multi_indices_upto,
 )
 from nilharmonics.group_core import HomogeneousNorm, heisenberg, random_step2
 from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
 from nilharmonics.polynomials import Polynomial, SmoothField, \
     poly_bump_profile
-from nilharmonics.quadrature import Grid, check_map, convolve
+from nilharmonics.quadrature import Grid, _chunks, check_map, convolve
 
 PROPERTY = settings(max_examples=20, deadline=None)
 
@@ -229,16 +232,23 @@ def capped_density(spec, rng):
     return SmoothField(Polynomial(n, coeffs), poly_bump_profile(1.0, 6))
 
 
+def random_grid(rng, n, graded):
+    return Grid(rng.uniform(-0.3, 0.3, n), rng.uniform(1.0, 2.0, n),
+                rng.integers(4, 8 if n <= 3 else 6, n),
+                grading=rng.uniform(0.5, 3.0, n) if graded else None)
+
+
 class Spy:
-    """A factor that counts its nonzero values off the fixed-factor call
-    on grid.points."""
+    """A factor that counts its nonzero values off the fixed-factor call,
+    which reads grid.points or a sub-box of it: the moving factor reads
+    fresh group products."""
 
     def __init__(self, f, grid):
         self.f, self.grid, self.nonzero = f, grid, 0
 
     def __call__(self, p):
         vals = self.f(p)
-        if p is not self.grid.points:
+        if not np.shares_memory(p, self.grid.points):
             self.nonzero += int(np.count_nonzero(vals))
         return vals
 
@@ -252,9 +262,7 @@ def test_pruned_convolve_equals_the_full_pair_sum(spec, seed, graded):
     f = capped_density(spec, rng)
     shift = rng.uniform(-0.5, 0.5, n)
     g = lambda p: np.exp(-np.sum((p - shift) ** 2, axis=-1))
-    grid = Grid(rng.uniform(-0.3, 0.3, n), rng.uniform(1.0, 2.0, n),
-                rng.integers(4, 8 if n <= 3 else 6, n),
-                grading=rng.uniform(0.5, 3.0, n) if graded else None)
+    grid = random_grid(rng, n, graded)
     etas = rng.uniform(-1.5, 1.5, (9, n))
     fs, gs = Spy(f, grid), Spy(g, grid)
     xi = grid.flat_points
@@ -270,3 +278,70 @@ def test_pruned_convolve_equals_the_full_pair_sum(spec, seed, graded):
         assert_allclose(out, vals @ w, rtol=1e-13, atol=0)
         nonzero += int(np.count_nonzero(vals[:, w != 0]))
     assert fs.nonzero + gs.nonzero == nonzero
+
+
+def uncut_first_form(spec, f, g, etas, grid):
+    """The first form over the whole grid: f on every node, the nodes of
+    nonzero folded weight kept in grid order, the pairs in _chunks."""
+    w = f(grid.points) * grid.weights
+    keep = w != 0
+    xi, wk = grid.points[keep], w[keep]
+    out = np.zeros(len(etas))
+    for blk in _chunks(len(etas), (spec.n + 1) * len(xi)):
+        out[blk] = g(spec.multiply(-xi[None], etas[blk, None])) @ wk
+    return out
+
+
+@PROPERTY
+@given(st.one_of(step2_specs(), st.just(heisenberg())),
+       st.integers(0, 2 ** 16), st.booleans())
+def test_first_form_cuts_the_grid_to_the_density_box(spec, seed, graded):
+    # f is read on the nodes of its support box alone, and the pair sum
+    # keeps the nodes and the order of the whole grid
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    f = capped_density(spec, rng)
+    shift = rng.uniform(-0.5, 0.5, n)
+    g = lambda p: np.exp(-np.sum((p - shift) ** 2, axis=-1))
+    grid = random_grid(rng, n, graded)
+    etas = rng.uniform(-1.5, 1.5, (9, n))
+    read = []
+    field_eval = SmoothField.eval
+
+    def spy(self, theta):
+        read.append(np.array(theta).reshape(-1, n))
+        return field_eval(self, theta)
+
+    with patch.object(SmoothField, "eval", spy):
+        out = convolve(spec, f, g, etas, grid)
+    lo, hi = f.support_box()
+    inside = np.all((grid.flat_points >= lo) & (grid.flat_points <= hi),
+                    axis=1)
+    (pts,) = read
+    assert len(pts) == np.count_nonzero(inside)
+    assert np.all((pts >= lo) & (pts <= hi))
+    assert_array_equal(out, uncut_first_form(spec, f, g, etas, grid))
+
+
+@PROPERTY
+@given(st.one_of(step2_specs(), st.just(heisenberg())),
+       st.integers(0, 2 ** 16), st.booleans(), st.data())
+def test_by_parts_over_the_box_is_the_full_grid_sum(spec, seed, graded,
+                                                    data):
+    # both integrands vanish off f's box, so the sums differ only in order
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    f, g = capped_density(spec, rng), capped_density(spec, rng)
+    grid = random_grid(rng, n, graded)
+    kind = data.draw(st.sampled_from(["X", "Xt", "Y", "Yt"]))
+    alpha = data.draw(st.sampled_from(multi_indices_upto(n, 2)))
+    dual = {"X": "Xt", "Xt": "X", "Y": "Yt", "Yt": "Y"}[kind]
+    pts = grid.points
+    lhs = OperatorWord(spec, kind, alpha).apply(f, pts) * g(pts) \
+        * grid.weights
+    rhs = (-1) ** sum(alpha) * f(pts) \
+        * OperatorWord(spec, dual, alpha).apply(g, pts) * grid.weights
+    full = abs(np.sum(lhs) - np.sum(rhs))
+    got = integrate_by_parts_residual(spec, kind, alpha, f, g, grid)
+    assert abs(got - full) <= 1e-15 * (np.sum(np.abs(lhs))
+                                       + np.sum(np.abs(rhs)))
