@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from .calculus import conversion_residual
-from .distributions import TestFunction, boundary_convergence
+from .distributions import METHODS, TestFunction, boundary_convergence
 from .group_core import HomogeneousNorm
 from .io import DENSITY_SIZE, InputError, density_from_json, emit_table, \
     load_group, load_distribution, load_measure, metadata, write_json
-from .kernels import KernelSpec, certify_RGamma
+from .kernels import FAMILIES, KernelSpec, certify_RGamma
 from .quadrature import Grid, irs_bound_check
 from .weak_l1 import AtomicMeasure, build_covering, verify_covering
 
@@ -199,14 +199,14 @@ _COMMANDS = {
         ("--spec", _REQ), ("--r", _FLOAT), ("--s", _FLOAT),
         ("--eta-max", _FLOAT), ("--out", _REQ)]),
     "kernel certify": (_kernel_certify, False, [
-        ("--spec", _REQ), ("--family", _REQ), ("--gamma", _FLOAT),
-        ("--out", _REQ)]),
+        ("--spec", _REQ), ("--family", {"choices": FAMILIES, **_REQ}),
+        ("--gamma", _FLOAT), ("--out", _REQ)]),
     "extend run": (_extend_run, True, [
-        ("--spec", _REQ), ("--kernel", _REQ), ("--gamma", _FLOAT),
-        ("--dist", _REQ),
+        ("--spec", _REQ), ("--kernel", {"choices": FAMILIES, **_REQ}),
+        ("--gamma", _FLOAT), ("--dist", _REQ),
         ("--phi", {"default": "poly_bump", "choices": sorted(DENSITY_SIZE)}),
         ("--a-list", {"type": _csv_floats, **_REQ}),
-        ("--method", {"default": "direct"}),
+        ("--method", {"default": "direct", "choices": METHODS}),
         ("--resolution", {"type": int, "default": 21}), ("--out", _REQ)]),
     "weakl1 run": (_weakl1_run, False, [
         ("--spec", _REQ), ("--gamma", _FLOAT), ("--measure", _REQ),

@@ -25,6 +25,8 @@ from .kernels import KernelSpec, _sweep_points, dilated_field
 from .polynomials import Profile, SmoothField
 from .quadrature import Grid, _evaluate, _grading_for, box_grid, convolve
 
+METHODS = ("direct", "scaled")  # the extensions of boundary_convergence
+
 
 def flat_top_profile():
     """C^2 profile equal to 1 for u <= 1 and s(2 - u) on [1, 2], with s the
@@ -249,9 +251,11 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
                          span=4.0, count=31):
     """Rows (a, <omega_{-mu}(T*P_a), phi>, <omega_{-mu}T, phi>, error);
     the limit is the pairing of T's mu = 0 representation, where the weight
-    cancels exactly, the extension pairing by outer quadrature.  Reports the fitted slope of
-    log error against log a.  T * P_a tends to (int P) T: the limit takes
-    kernel.mass unless kernel_mass is given."""
+    cancels exactly, the extension pairing by outer quadrature.  Reports
+    the fitted slope of log error against log a.  T * P_a tends to
+    (int P) T: the limit takes kernel.mass unless kernel_mass is given."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     w_minus = weight_field(kernel.norm, -T.mu)
     wm_phi = w_minus.eval(outer_grid.points) * phi(outer_grid.points)
     limit = (kernel.mass if kernel_mass is None else kernel_mass) \
@@ -263,11 +267,9 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
             # kernel-centered chart: one graded zeta-grid resolves every a
             ext = poisson_extend_scaled(T, kernel, a, outer_grid.points,
                                         span=span, count=count)
-        elif method == "direct":
+        else:
             ext = poisson_extend(T, kernel, a, outer_grid.points,
                                  inner_grid)
-        else:
-            raise ValueError(f"unknown method {method!r}")
         val = float(np.sum(ext * wm_phi * outer_grid.weights))
         rows.append((float(a), val, limit, abs(val - limit)))
     errs = np.array([r[3] for r in rows])

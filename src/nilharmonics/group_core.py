@@ -3,8 +3,9 @@
 A group is described by its dilation weights and the structure constants of
 its polynomial group law; elements are plain numpy coordinate vectors (an
 array of shape ``(..., n)`` is a batch of elements; products come back
-coordinate-major).  Inversion is coordinate negation, dilations scale
-coordinate ``k`` by ``a**d_k``.
+coordinate-major).  Coordinates are exponential, so eta^{-1} = -eta in
+``GroupSpec.inverse``, which every inverse and distance |x^{-1} y| goes
+through; dilations scale coordinate ``k`` by ``a**d_k``.
 
 The module also provides homogeneous norms (a default even-power gauge for
 any group, the Koranyi gauge on the Heisenberg group) and the smooth weights
@@ -40,13 +41,13 @@ class GroupSpec:
 
     name: str
     weights: tuple  # of Fraction, nondecreasing, weights[0] == 1
-    structure: tuple = ()  # of ((k, alpha, beta), Fraction) pairs, canonical order
+    structure: tuple = ()  # ((k, alpha, beta), Fraction) pairs, sorted
 
     def __post_init__(self):
         w = tuple(Fraction(d) for d in self.weights)
         object.__setattr__(self, "weights", w)
         if not w or w[0] != 1:
-            raise ValueError("smallest dilation weight must be normalized to 1")
+            raise ValueError("smallest dilation weight must be 1")
         if any(a > b for a, b in zip(w, w[1:])):
             raise ValueError("weights must be nondecreasing")
         struct = []
@@ -124,6 +125,7 @@ class GroupSpec:
         return out
 
     def inverse(self, eta):
+        """eta^{-1} = -eta in exponential coordinates."""
         eta = np.asarray(eta, dtype=float)
         if eta.shape[-1] != self.n:
             raise ValueError(f"expected coordinate vectors of length {self.n}")
@@ -249,6 +251,10 @@ class HomogeneousNorm:
 
     def __call__(self, eta):
         return self._N.eval(eta) ** (1.0 / (2 * self.M))
+
+    def distance(self, x, y):
+        """|x^{-1} y|, left-invariant, batched like GroupSpec.multiply."""
+        return self(self.spec.multiply(self.spec.inverse(x), y))
 
     def measured_gamma(self):
         """sup |eta xi| / (|eta| + |xi|) over 10^5 random pairs in

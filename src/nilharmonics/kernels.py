@@ -31,6 +31,8 @@ from .calculus import OperatorWord, build_conversion, words_upto_weight
 from .group_core import GroupSpec, HomogeneousNorm, weight_field
 from .polynomials import Polynomial, Profile, SmoothField
 
+FAMILIES = ("classical_abelian", "model_power")  # what KernelSpec accepts
+
 
 class KernelSpec:
     """A kernel family bound to a group and a gauge, exposing exact
@@ -40,6 +42,8 @@ class KernelSpec:
                  Gamma=1.0):
         if Gamma <= 0:
             raise ValueError("Gamma must be positive")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown kernel family {family!r}")
         self.spec, self.norm, self.family = spec, norm, family
         self.Gamma = float(Gamma)
         if family == "classical_abelian":
@@ -48,8 +52,6 @@ class KernelSpec:
                                  "group with unit weights")
             if Gamma != 1.0:
                 raise ValueError("classical_abelian has Gamma = 1")
-        elif family != "model_power":
-            raise ValueError(f"unknown kernel family {family!r}")
         # polar coordinates (Leb B(0, r) = r^Q / kappa), s = |eta|^{2M}:
         # m = (q / kappa) B(q, g) with q = Q/2M and g = Gamma/2M
         q, g = float(spec.Q) / (2 * norm.M), self.Gamma / (2 * norm.M)
@@ -123,10 +125,10 @@ def certify_RGamma(kernel: KernelSpec, radius=100.0, n_dirs=24, n_radii=40,
     words X^alpha P of weight d(alpha) <= 2 against omega_{-Q-Gamma-d},
     the scale derivatives (a d/da)^k P_a, k = 1, 2, and the dilated words
     X^alpha P_a, both at a = 1/4, 1, 4, and the reversed right words
-    tilde-Y^alpha P through their conversion tables.  Every row is measured on one sweep
-    to `radius` and one to 2 radius; an estimate is stable, and the
-    certificate passes only if all are, when the ratio is finite and grows
-    by at most 5% on the doubled sweep.  The report also carries the
+    tilde-Y^alpha P through their conversion tables.  Every row is measured
+    on one sweep to `radius` and one to 2 radius; an estimate is stable,
+    and the certificate passes only if all are, when the ratio is finite
+    and grows by at most 5% on the doubled sweep.  The report also carries the
     kernel's closed-form mass.
     """
     spec, P = kernel.spec, kernel.field

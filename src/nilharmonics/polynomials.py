@@ -88,7 +88,8 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             other = _as_coeff(other)
-            return Polynomial(self.n, {e: c * other for e, c in self.coeffs.items()})
+            return Polynomial(self.n, {e: c * other
+                                       for e, c in self.coeffs.items()})
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():

@@ -157,8 +157,8 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first", *,
     factor that lives on the grid alone is evaluated once and folded into
     the weights.  support = (lo, hi) is a coordinate box off which f
     vanishes, in both forms; it defaults to f.support_box() when f is a
-    SmoothField.  Each block of eta builds its xi^{-1} once, one
-    contiguous array per coordinate.  A pair spans its n product
+    SmoothField.  Each block of eta builds GroupSpec.inverse(xi) once,
+    one contiguous array per coordinate.  A pair spans its n product
     coordinates and one value, and the pairs go in _chunks of that size.
 
     Pairs whose term is exactly 0 are skipped, which changes the sum only
@@ -192,7 +192,8 @@ def convolve(spec: GroupSpec, f, g, eta, grid: Grid, form="first", *,
         if not len(wk):
             continue  # every pair of these eta is 0
         pts = nodes[index]
-        xi_inv = np.array([-pts[..., k][keep] for k in range(spec.n)]).T
+        xi_inv = spec.inverse(
+            np.array([pts[..., k][keep] for k in range(spec.n)]).T)
         for blk in _chunks(len(rows), (spec.n + 1) * len(wk)):
             e = etas[rows[blk], None, :]
             arg = spec.multiply(xi_inv[None], e) if form == "first" \
@@ -257,28 +258,18 @@ def _grading_for(spec: GroupSpec, radius, count, center_spacing):
     return np.array(out)
 
 
-def _irs_piece(norm, r, s, eta, radius, count, weight_sign, grading):
-    """One half of the two-chart splitting of I_{r,s}, over a sinh-graded
-    box of gauge radius `radius` centered at the peak.
-
-    weight_sign=+1: chart at xi = 0, integrand cut by w = N_eta/(N_0+N_eta);
-    weight_sign=-1: substituted chart xi = eta . zeta (unit Jacobian), where
-    the other cutoff 1-w becomes peaked at zeta = 0.
-    """
-    spec = norm.spec
-    grid = box_grid(spec, radius, count, grading=grading)
-    zeta = grid.flat_points
-    if weight_sign > 0:
-        xi = zeta
-    else:
-        xi = spec.multiply(eta[None, :], zeta)
-    n0 = norm(xi)
-    neta = norm(spec.multiply(-xi, eta[None, :]))
-    m = 2 * norm.M
-    d0, de = n0 ** m, neta ** m
+def _irs_piece(norm, r, s, eta, radius, count, grading):
+    """The half of I_{r,s}(eta) cut by w = |xi^{-1} eta|^{2M} / (|xi|^{2M}
+    + |xi^{-1} eta|^{2M}), peaked at xi = 0, on a sinh-graded box of gauge
+    radius `radius` centered there.  The half cut by 1 - w is this one at
+    (s, r, eta^{-1}): substitute xi = eta zeta (unit Jacobian) and use
+    |g^{-1}| = |g|, which holds for both gauges."""
+    grid = box_grid(norm.spec, radius, count, grading=grading)
+    n0 = norm(grid.flat_points)
+    neta = norm.distance(grid.flat_points, eta)
+    d0, de = n0 ** (2 * norm.M), neta ** (2 * norm.M)
     tot = d0 + de
-    cut = np.where(tot > 0, (de if weight_sign > 0 else d0)
-                   / np.where(tot > 0, tot, 1.0), 0.5)
+    cut = np.where(tot > 0, de / np.where(tot > 0, tot, 1.0), 0.5)
     vals = cut * (1.0 + n0) ** r * (1.0 + neta) ** s
     return float(vals @ grid.flat_weights)
 
@@ -296,8 +287,8 @@ def _irs_doublings(norm: HomogeneousNorm, r, s, eta, count,
     prev = None
     for _ in range(max_doublings):
         g = _grading_for(spec, radius, count, center_spacing=5.0 / count)
-        total = (_irs_piece(norm, r, s, eta, radius, count, +1, g)
-                 + _irs_piece(norm, r, s, eta, radius, count, -1, g))
+        total = (_irs_piece(norm, r, s, eta, radius, count, g)
+                 + _irs_piece(norm, s, r, spec.inverse(eta), radius, count, g))
         if prev is not None and abs(total - prev) <= 1e-4 * abs(total):
             return total, True
         prev = total

@@ -109,7 +109,7 @@ def U_nu(spec: GroupSpec, norm: HomogeneousNorm, nu: AtomicMeasure, Gamma,
     # terms on (atoms, *broadcast(a, batch)), formed in place: one gauge
     # distance per point and atom, then the atom slabs summed in order
     lead = (-1,) + (1,) * max(a.ndim, eta.ndim - 1)
-    terms = a + norm(spec.multiply(-eta, nu.xi.reshape(lead + (spec.n,))))
+    terms = a + norm.distance(eta, nu.xi.reshape(lead + (spec.n,)))
     np.power(terms, Q + Gamma, out=terms)
     np.divide(nu.w.reshape(lead), terms, out=terms)
     acc = np.sum(terms, axis=0)
@@ -194,7 +194,7 @@ def measure_poisson(spec: GroupSpec, mu: AtomicMeasure, kernel: KernelSpec,
     exact for atoms; a is one height or one per point of eta."""
     eta = np.asarray(eta, dtype=float)[..., None, :]
     a = np.asarray(a, dtype=float)[..., None]
-    arg = spec.dilate(1.0 / a, spec.multiply(-mu.xi, eta))
+    arg = spec.dilate(1.0 / a, spec.multiply(spec.inverse(mu.xi), eta))
     return np.sum(mu.w * kernel(arg) * a ** (-float(spec.Q)), axis=-1)
 
 
@@ -308,7 +308,7 @@ def _distances(spec, norm, pts, centers, reduce=lambda d: d):
     chunk of points at a time and passed through reduce per chunk."""
     centers = np.asarray(centers, dtype=float).reshape(-1, spec.n)
     return np.concatenate([
-        reduce(norm(spec.multiply(-centers, pts[blk, None, :])))
+        reduce(norm.distance(centers, pts[blk, None, :]))
         for blk in _chunks(len(pts), len(centers) * spec.n)])
 
 
@@ -325,7 +325,7 @@ def _count_within(spec, norm, pts, centers, r):
         near = np.all(np.abs(pts[blk, None, layer1] - centers[:, layer1])
                       <= reach, axis=-1)
         i, j = np.nonzero(near)
-        d = norm(spec.multiply(-centers[j], pts[blk][i]))
+        d = norm.distance(centers[j], pts[blk][i])
         counts[blk] = np.bincount(i[d <= r], minlength=len(near))
     return counts
 
@@ -396,6 +396,15 @@ def _forbid_radius(i0, i, l, Q, Gamma):
     return 2.0 ** (i0 - i + (l - i) / (Q + Gamma) + 1)
 
 
+def _reach(nu, Q, Gamma, alpha, a_lo, a_hi):
+    """Bound on a and on the gauge distance d to the nearest atom where
+    U_nu > alpha for a in [a_lo, a_hi]: U_nu <= m a^{Gamma-1} / max(a,
+    d)^{Q+Gamma} for m = len(w) max(w), and a^{Gamma-1} peaks at an end."""
+    mass = len(nu.w) * np.max(nu.w, initial=0.0)
+    a_pow = max(a_lo ** (Gamma - 1.0), a_hi ** (Gamma - 1.0))
+    return (mass * a_pow / alpha) ** (1.0 / (Q + Gamma))
+
+
 def _hit_test(spec, norm, nu, Gamma, alpha, cand, r, a_lo, a_hi, rng):
     """Per candidate center: does U_nu exceed alpha at one of 4 heights in
     [a_lo, a_hi], on 8 samples of B(center, r) per height, on the center or
@@ -409,7 +418,7 @@ def _hit_test(spec, norm, nu, Gamma, alpha, cand, r, a_lo, a_hi, rng):
         pts = np.concatenate([_ball_samples(
             spec, norm, cc, r, 32, rng).reshape(-1, 4, 8, spec.n),
             np.broadcast_to(cc[:, None, None], (len(cc), 4, 1, spec.n))], 2)
-        inside = norm(spec.multiply(-cc[:, None, :], nu.xi)) <= r
+        inside = norm.distance(cc[:, None, :], nu.xi) <= r
         out[blk] = np.any(U_nu(spec, norm, nu, Gamma, pts, a) > alpha,
                           axis=(1, 2)) | np.any(inside & atom_hit, axis=1)
     return out
@@ -445,8 +454,6 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
     cal = norm.calibration()
     c0 = _covering_radius(spec, norm)
     K0 = 2.0 ** i0
-    # total mass bound; 0 for an empty measure, whose every scale is empty
-    mass = len(nu.w) * np.max(nu.w, initial=0.0)
     gamma_tri = 1.05  # quasi-triangle slack for conservative set distances
     authorized, forb_vol = [], defaultdict(float)
     enumerated = 0
@@ -472,10 +479,8 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
         r_i = 2.0 ** (i0 - i - 3)
         a_lo, a_hi = 2.0 ** (i0 - i - 1), 2.0 ** (i0 - i)
         s_i = r_i / c0
-        a_pow = max(a_lo, a_hi) ** (Gamma - 1.0)
-        # largest |eta^{-1} xi| still compatible with U_nu > alpha
-        reach = (mass * a_pow / alpha) ** (1.0 / (Q + Gamma))
-        if mass * a_pow / a_lo ** (Q + Gamma) <= alpha:
+        reach = _reach(nu, Q, Gamma, alpha, a_lo, a_hi)
+        if reach <= a_lo:
             continue  # no piece of this scale can exceed alpha
         R_a = reach + 2 * r_i
         earlier = list(authorized)
@@ -533,24 +538,17 @@ def build_covering(spec: GroupSpec, norm: HomogeneousNorm,
 
 def u_piece(spec, norm, piece, Gamma, eta):
     """integral over the piece of a^{Gamma-1}/(a+|eta^{-1} xi|)^{Q+Gamma},
-    by the midpoint rule: 5 nodes per axis in the ball, 3 heights."""
-    eta = np.atleast_2d(np.asarray(eta, dtype=float))
-    Q = float(spec.Q)
+    by the midpoint rule: U_nu of 5 nodes per axis in the ball, 3 heights."""
     b = tensor_grid([(-e + (np.arange(5) + 0.5) * 2 * e / 5)
                      for e in norm.box(piece.radius)]).reshape(-1, spec.n)
     b = b[norm(b) <= piece.radius]
     # equal weights summing to the exact calibrated ball volume r^Q, so
     # that piece integrals match the calibrated piece measure
-    w_eta = piece.radius ** Q / len(b)
-    pts = spec.multiply(np.asarray(piece.center, dtype=float), b)
+    w = piece.radius ** float(spec.Q) / len(b)
+    mid = AtomicMeasure(spec.multiply(piece.center, b), np.full(len(b), w))
     da = (piece.a_hi - piece.a_lo) / 3
     a = (piece.a_lo + (np.arange(3) + 0.5) * da)[:, None]
-    # axes (eta, a-node, quadrature point); the sum over points comes
-    # first, then the a-nodes are added in order
-    d = norm(spec.multiply(-eta[:, None, :], pts))[:, None, :]
-    per_a = np.sum(w_eta * a ** (Gamma - 1.0) / (a + d) ** (Q + Gamma),
-                   axis=-1)
-    return np.sum(per_a * da, axis=-1)
+    return np.sum(U_nu(spec, norm, mid, Gamma, eta, a) * da, axis=0)
 
 
 def verify_covering(cert: CoveringCertificate, spec, norm,
@@ -563,15 +561,14 @@ def verify_covering(cert: CoveringCertificate, spec, norm,
     rng = np.random.default_rng(seed)
     F = lambda e, a: U_nu(spec, norm, nu, Gamma, e, a)
 
-    reach = (len(nu.w) * np.max(nu.w, initial=0.0) * (2.0 ** cert.i0)
-             ** max(Gamma - 1.0, 0.0) / alpha) ** (1.0 / (Q + Gamma))
+    # fixed height floor so the measured set does not move with depth
+    band = 2.0 ** (cert.i0 - 12), 2.0 ** cert.i0
+    reach = _reach(nu, Q, Gamma, alpha, *band)
     # the atoms' coordinate box; a point for an empty measure
     xi = nu.xi if len(nu.w) else np.zeros((1, spec.n))
     lo, hi = np.min(xi, axis=0), np.max(xi, axis=0)
     ext = norm.box(min(reach, 2.0 ** (cert.i0 + 1)))
-    # fixed height floor so the measured set does not move with depth
-    window = Window(tuple((lo + hi) / 2), tuple((hi - lo) / 2 + ext),
-                    2.0 ** (cert.i0 - 12), 2.0 ** cert.i0)
+    window = Window(tuple((lo + hi) / 2), tuple((hi - lo) / 2 + ext), *band)
     measure, bar = superlevel_measure(F, alpha, window,
                                       resolution=resolution,
                                       a_resolution=resolution,
@@ -628,5 +625,5 @@ def verify_covering(cert: CoveringCertificate, spec, norm,
         -1))
     pts = _ball_samples(spec, norm, cen[p], rad[p], 64, rng)
     report["disjoint"] = not np.any(
-        norm(spec.multiply(-cen[q, None, :], pts)) <= rad[q, None])
+        norm.distance(cen[q, None, :], pts) <= rad[q, None])
     return report

@@ -213,6 +213,29 @@ def test_malformed_input_is_input_error(tmp_path, dist_file, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    _EXTEND + ["--a-list", "1", "--method", "bogus"],
+    ["extend", "run", "--spec", "abelian_R1", "--kernel", "bogus",
+     "--gamma", "1", "--a-list", "1"],
+    ["kernel", "certify", "--spec", "abelian_R1", "--family", "bogus",
+     "--gamma", "1"],
+], ids=["method", "kernel", "family"])
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+def test_unknown_name_is_input_error(tmp_path, dist_file, capsys, argv,
+                                     dry_run):
+    # the names come from the library (distributions.METHODS,
+    # kernels.FAMILIES), so a dry run refuses what a run would refuse
+    if argv[0] == "extend":
+        argv = argv + ["--dist", dist_file]
+    out = str(tmp_path / "out.json")
+    assert main(argv + ["--out", out] + ["--dry-run"] * dry_run) == 1
+    captured = capsys.readouterr()
+    assert "input error" in captured.err and "bogus" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
 # -- dry runs and metadata ---------------------------------------------------
 
 def test_dry_run_prints_plan_writes_nothing(tmp_path, capsys):

@@ -3,9 +3,9 @@ every name a module imports is used in that module, every public name
 reaches a verdict, no module reaches into another
 object's private attributes, and each numerical idiom (the tensor grid,
 the finite-difference stencil, the kernel field, the support-box pruning,
-the certification sweep, the dilation, the batch budget, the Leibniz
-expansion of a distribution and its reader) is called from one place
-only."""
+the certification sweep, the dilation, the inverse, the batch budget, the
+Leibniz expansion of a distribution and its reader) is called from one
+place only, and every line fits in 79 columns."""
 
 import ast
 import sys
@@ -314,6 +314,61 @@ def test_dilations_only_through_group_spec():
             if path.name != "group_core.py"
             for _, scope in weight_powers(path.read_text(encoding="utf-8"))} \
         == set()
+
+
+def negated_group_arguments(source):
+    """(line, innermost enclosing function or None) of each unary minus
+    passed, positionally or by keyword, to a multiply or distance call."""
+    def negated(node):
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else \
+            f.attr if isinstance(f, ast.Attribute) else None
+        return name in ("multiply", "distance") and any(
+            isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.USub)
+            for arg in [*node.args, *(k.value for k in node.keywords)])
+
+    return scopes_of(ast.parse(source), lambda node: isinstance(
+        node, ast.Call) and negated(node))
+
+
+def test_negated_group_arguments_are_found():
+    source = ("def d(norm, spec, x, y):\n"
+              "    a = norm(spec.multiply(-x, y))\n"
+              "    b = spec.multiply(x, eta=-y) + multiply(x, -1 * y)\n"
+              "    return norm.distance(x, -y[None]) + spec.inverse(-x)\n"
+              "spec.multiply(x, y)\n")
+    assert negated_group_arguments(source) == [(2, "d"), (3, "d"), (4, "d")]
+
+
+def test_inverses_only_through_group_spec():
+    # coordinates are exponential, so eta^{-1} = -eta; GroupSpec.inverse
+    # is the one place that says so, and every |x^{-1} y| outside
+    # group_core is HomogeneousNorm.distance
+    assert {(path.name, scope) for path in SRC.glob("*.py")
+            if path.name != "group_core.py"
+            for _, scope in negated_group_arguments(
+                path.read_text(encoding="utf-8"))} == set()
+    assert callers("inverse") == {
+        ("group_core.py", "distance"), ("cli.py", "_group_check"),
+        ("quadrature.py", "convolve"), ("quadrature.py", "check_map"),
+        ("quadrature.py", "_irs_doublings"),
+        ("weak_l1.py", "measure_poisson")}
+
+
+def long_lines(source, limit=79):
+    """(line, length) of each line longer than limit columns."""
+    return [(number, len(line)) for number, line
+            in enumerate(source.splitlines(), 1) if len(line) > limit]
+
+
+def test_long_lines_are_found():
+    assert long_lines("x = 1\n" + "y" * 80 + "\n" + "z" * 79 + "\n") \
+        == [(2, 80)]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_lines_fit_in_79_columns(module):
+    assert long_lines((SRC / module).read_text(encoding="utf-8")) == []
 
 
 def test_check_maps_only_in_the_pairing_and_the_witness():

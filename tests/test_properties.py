@@ -1,6 +1,6 @@
 """Property tests on random step-2 groups: the group law and its
-coordinate-major layout, the dilations, the check map and the rescaled
-fields, the exact operator words and the batched finite-difference stencil,
+coordinate-major layout, the dilations, the gauge distance, the one chart
+of I_{r,s}, the check map and the rescaled fields, the exact operator words and the batched finite-difference stencil,
 the exact scale derivatives of the model kernel, the gauge box, the pruned
 convolution, and the grid cut to a density's support box."""
 
@@ -15,11 +15,13 @@ from nilharmonics.calculus import (
     OperatorWord, central_difference, integrate_by_parts_residual,
     multi_indices_upto,
 )
-from nilharmonics.group_core import HomogeneousNorm, heisenberg, random_step2
+from nilharmonics.group_core import HomogeneousNorm, abelian, heisenberg, \
+    random_step2
 from nilharmonics.kernels import KernelSpec, dilated_field, scale_derivative
 from nilharmonics.polynomials import Polynomial, SmoothField, \
     poly_bump_profile
-from nilharmonics.quadrature import Grid, _chunks, check_map, convolve
+from nilharmonics.quadrature import Grid, _chunks, _grading_for, \
+    _irs_doublings, box_grid, check_map, convolve
 
 PROPERTY = settings(max_examples=20, deadline=None)
 
@@ -97,6 +99,92 @@ def test_multiply_is_coordinate_major_and_exact(spec, seed):
         spec.multiply(np.zeros(n + 1), np.zeros(n))
     with pytest.raises(ValueError):
         spec.multiply(np.zeros((3, n)), np.zeros((3, n + 1)))
+
+
+def gauges():
+    """The even-power gauge of a random step-2 group, or either gauge of
+    the Heisenberg group."""
+    return st.one_of(step2_specs().map(HomogeneousNorm), st.sampled_from(
+        ["even-power", "koranyi"]).map(
+            lambda variant: HomogeneousNorm(heisenberg(), variant)))
+
+
+@PROPERTY
+@given(gauges(), st.integers(0, 2 ** 16))
+def test_distance_is_symmetric_and_left_invariant(norm, seed):
+    spec = norm.spec
+    x, y, g = (points(spec, seed + i) for i in range(3))
+    d = norm.distance(x, y)
+    assert_array_equal(d, norm(spec.multiply(spec.inverse(x), y)))
+    # x^{-1} x rounds to about 1e-15 |x|^2 on a weight-2 coordinate, which
+    # the gauge reads as its square root
+    assert np.all(norm.distance(x, x)
+                  <= np.sqrt(1e-13 * (1.0 + np.sum(x * x, axis=-1))))
+    assert_allclose(norm.distance(y, x), d, rtol=1e-12)
+    assert_allclose(norm.distance(spec.multiply(g, x), spec.multiply(g, y)),
+                    d, rtol=1e-10)
+    # batched like multiply
+    table = norm.distance(x[:4, None], y[None, :7])
+    assert table.shape == (4, 7)
+    assert_allclose(table, [[norm.distance(p, q) for q in y[:7]]
+                            for p in x[:4]], rtol=1e-14)
+
+
+def two_chart_irs(norm, r, s, eta, count, max_doublings):
+    """(I_{r,s}(eta), converged) with the doubling rule of _irs_doublings,
+    but each half in its own chart: the half cut by w at xi = 0, the half
+    cut by 1 - w at xi = eta zeta."""
+    spec = norm.spec
+
+    def half(radius, grading, second):
+        grid = box_grid(spec, radius, count, grading=grading)
+        zeta = grid.flat_points
+        xi = spec.multiply(eta[None, :], zeta) if second else zeta
+        n0 = norm(xi)
+        neta = norm(spec.multiply(-xi, eta[None, :]))
+        d0, de = n0 ** (2 * norm.M), neta ** (2 * norm.M)
+        tot = d0 + de
+        cut = np.where(tot > 0, (d0 if second else de)
+                       / np.where(tot > 0, tot, 1.0), 0.5)
+        vals = cut * (1.0 + n0) ** r * (1.0 + neta) ** s
+        return float(vals @ grid.flat_weights)
+
+    radius, prev = 4.0 + 2.0 * float(norm(eta)), None
+    for _ in range(max_doublings):
+        g = _grading_for(spec, radius, count, center_spacing=5.0 / count)
+        total = half(radius, g, False) + half(radius, g, True)
+        if prev is not None and abs(total - prev) <= 1e-4 * abs(total):
+            return total, True
+        prev = total
+        radius *= 2.0
+    return prev, False
+
+
+@PROPERTY
+@given(st.sampled_from(["R1", "even-power", "koranyi", "step2"]),
+       st.floats(-6.0, 1.0), st.floats(0.5, 3.0), st.floats(0.0, 4.0),
+       st.integers(0, 2 ** 16), st.booleans())
+def test_one_chart_serves_both_halves_of_I_rs(group, r, excess, t, seed,
+                                             ray):
+    # the half cut by 1 - w is the first half at (s, r, eta^{-1})
+    norm = {"R1": lambda: HomogeneousNorm(abelian(1)),
+            "step2": lambda: HomogeneousNorm(random_step2(2, 1, 0))}.get(
+        group, lambda: HomogeneousNorm(heisenberg(), group))()
+    spec = norm.spec
+    s = -float(spec.Q) - r - excess
+    # eta on the ray delta_t e_1 that irs_bound_check sweeps, or in a
+    # random direction.  Off the ray the structure constant 7/20 of
+    # random_step2(2, 1, 0) rounds c x y and c y x apart, so the
+    # reference's (eta zeta)^{-1} eta misses the identity at zeta = 0 by
+    # about 1e-17, which the gauge reads as about 1e-9; with the constants
+    # +-1/2 of the Heisenberg law it meets it exactly.
+    u = np.eye(spec.n)[0] if ray or group == "step2" \
+        else points(spec, seed, count=1)[0]
+    eta = spec.dilate(t / norm(u), u) if t > 0 else np.zeros(spec.n)
+    got = _irs_doublings(norm, r, s, eta, 11, max_doublings=4)
+    want = two_chart_irs(norm, r, s, eta, 11, 4)
+    assert got[1] == want[1]
+    assert_allclose(got[0], want[0], rtol=1e-14)
 
 
 @PROPERTY

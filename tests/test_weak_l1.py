@@ -12,7 +12,8 @@ from nilharmonics.kernels import KernelSpec
 from nilharmonics.io import load_measure
 from nilharmonics.weak_l1 import (
     AtomicMeasure, CoveringCertificate, Window, DyadicPiece,
-    U_nu, _ball_samples, _count_within, _forbid_radius, _lattice_coords, _lattice_scales,
+    U_nu, _ball_samples, _count_within, _forbid_radius, _lattice_coords,
+    _lattice_scales, _reach,
     build_covering, measure_poisson, mu_poisson_bounds, phi_gamma,
     superlevel_measure, u_piece, verify_covering, weak_l1_constant,
 )
@@ -418,6 +419,32 @@ def heis_cover():
     cert = build_covering(HEIS, HNORM, NU_HEIS, 1.0, 20.0, 2, 4)
     rep = verify_covering(cert, HEIS, HNORM, NU_HEIS, resolution=35)
     return cert, rep
+
+
+@pytest.mark.parametrize("Gamma", [0.3, 0.5, 1.0, 2.0])
+def test_reach_bounds_the_superlevel_set_on_the_band(Gamma):
+    # U_nu > alpha at a height of [a_lo, a_hi] only nearer to an atom than
+    # the reach, and only at heights below it; for Gamma < 1, a^{Gamma-1}
+    # is largest at a_lo
+    nu = AtomicMeasure([[0.0], [1.5]], [1.0, 0.5])
+    a_lo, a_hi, alpha = 0.5, 2.0, 0.3
+    reach = _reach(nu, 1.0, Gamma, alpha, a_lo, a_hi)
+    eta = np.linspace(-6.0, 8.0, 1401)[:, None]
+    a = np.linspace(a_lo, a_hi, 61)[:, None]
+    hit = U_nu(LINE, LNORM, nu, Gamma, eta, a) > alpha
+    assert hit.any()
+    near = np.min(np.abs(eta - nu.xi[:, 0]), axis=1)
+    assert np.all(near[hit.any(axis=0)] < reach)
+    assert np.all(a[hit.any(axis=1), 0] < reach)
+
+
+def test_covering_meets_the_set_at_low_heights_when_Gamma_below_1():
+    # U_nu(0, a) = a^{-2} > 0.2 for a < 5^{1/2}, so the set meets the
+    # heights [2, 4] of scale 0, where a^{Gamma-1} peaks at a = 2
+    nu = AtomicMeasure([[0.0]], [1.0])
+    assert U_nu(LINE, LNORM, nu, 0.5, [0.0], 2.0) > 0.2
+    cert = build_covering(LINE, LNORM, nu, 0.5, 0.2, 2, 3)
+    assert 0 in {p.i for p in cert.authorized}
 
 
 def test_empty_measure_gives_empty_covering():
