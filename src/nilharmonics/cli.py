@@ -126,10 +126,11 @@ def _extend_run(plan, spec):
             for a, v, lim, err in result["rows"]]
     bad = [] if all(np.isfinite(row["value"]) for row in rows) \
         else ["finite-extension"]
-    if not result["monotone"]:  # the error must fall as a shrinks
+    if len(rows) < 2 or not result["monotone"]:  # the error must fall
         bad.append("boundary-convergence")
     return rows, {"rows": rows, "slope": result["slope"],
-                  "monotone": result["monotone"]}, bad
+                  "monotone": result["monotone"],
+                  "outer_nodes": result["outer_nodes"]}, bad
 
 
 def _covering(plan, spec, nu, Gamma):

@@ -251,13 +251,21 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
                          span=4.0, count=31):
     """Rows (a, <omega_{-mu}(T*P_a), phi>, <omega_{-mu}T, phi>, error);
     the limit is the pairing of T's mu = 0 representation, where the weight
-    cancels exactly, the extension pairing by outer quadrature.  Reports
-    the fitted slope of log error against log a.  T * P_a tends to
+    cancels exactly, the extension pairing by outer quadrature over the
+    outer nodes where omega_{-mu} phi times the weight is nonzero: T * P_a
+    is evaluated there alone (outer_nodes = [evaluated, total]), as every
+    other term is an exact 0.  Reports the fitted slope of log error
+    against log a; a repeated a is refused.  T * P_a tends to
     (int P) T: the limit takes kernel.mass unless kernel_mass is given."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    w_minus = weight_field(kernel.norm, -T.mu)
-    wm_phi = w_minus.eval(outer_grid.points) * phi(outer_grid.points)
+    a_arr = np.array(a_list, dtype=float)
+    if len(np.unique(a_arr)) < len(a_arr):
+        raise ValueError(f"repeated scale in a_list {list(a_list)}")
+    pts, w = outer_grid.flat_points, outer_grid.flat_weights
+    q = weight_field(kernel.norm, -T.mu).eval(pts) * phi(pts)
+    live = q * w != 0
+    pts, q, w = pts[live], q[live], w[live]
     limit = (kernel.mass if kernel_mass is None else kernel_mass) \
         * pair(DistributionRep(T.spec, T.norm, T.Gamma, T.terms, mu=0.0),
                phi, inner_grid)
@@ -265,17 +273,16 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
     for a in a_list:
         if method == "scaled":
             # kernel-centered chart: one graded zeta-grid resolves every a
-            ext = poisson_extend_scaled(T, kernel, a, outer_grid.points,
-                                        span=span, count=count)
+            ext = poisson_extend_scaled(T, kernel, a, pts, span=span,
+                                        count=count)
         else:
-            ext = poisson_extend(T, kernel, a, outer_grid.points,
-                                 inner_grid)
-        val = float(np.sum(ext * wm_phi * outer_grid.weights))
+            ext = poisson_extend(T, kernel, a, pts, inner_grid)
+        val = float(np.sum(ext * q * w))
         rows.append((float(a), val, limit, abs(val - limit)))
     errs = np.array([r[3] for r in rows])
-    a_arr = np.array([r[0] for r in rows])
     keep = errs > 0
     slope = float(np.polyfit(np.log(a_arr[keep]), np.log(errs[keep]), 1)[0]) \
         if keep.sum() >= 2 else float("nan")
     return {"rows": rows, "slope": slope,
-            "monotone": bool(np.all(np.diff(errs[np.argsort(a_arr)]) >= 0))}
+            "monotone": bool(np.all(np.diff(errs[np.argsort(a_arr)]) >= 0)),
+            "outer_nodes": [int(live.sum()), int(live.size)]}

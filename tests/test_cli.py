@@ -420,6 +420,34 @@ def test_extend_run_gaussian_phi_has_width_2(tmp_path, dist_file):
     limits = {r["limit"] for r in parse_table(out)}
     assert len(limits) == 1
     assert abs(limits.pop() / np.sqrt(8 * np.pi / 5) - 1) < 1e-6
+    # a gaussian phi has no zero on the outer grid: every node is evaluated
+    summary = read_json(out + ".summary.json")["summary"]
+    assert summary["outer_nodes"] == [385, 385]
+
+
+@pytest.mark.filterwarnings("error")
+def test_extend_run_repeated_scale_is_input_error(tmp_path, dist_file,
+                                                  capsys):
+    # equal abscissae would give np.polyfit a meaningless slope
+    out = str(tmp_path / "ext.csv")
+    status = main(_EXTEND + ["--dist", dist_file, "--a-list", "0.5,0.5",
+                             "--out", out])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "input error:" in err and "repeated" in err
+    assert "Traceback" not in err
+    assert not os.path.exists(out)
+
+
+def test_extend_run_single_scale_fails_convergence(tmp_path, dist_file):
+    # one row cannot show the error falling as a shrinks
+    out = str(tmp_path / "ext.csv")
+    status = main(_EXTEND + ["--dist", dist_file, "--a-list", "1",
+                             "--out", out])
+    assert status == 2
+    assert len(parse_table(out)) == 1
+    summary = read_json(out + ".summary.json")
+    assert summary["failed_checks"] == ["boundary-convergence"]
 
 
 def test_unknown_density_parameter_is_named(tmp_path, capsys):
@@ -475,6 +503,9 @@ def test_extend_run_heisenberg_model_power_converges(tmp_path):
     assert status == 0
     errs = [r["error"] for r in parse_table(out)]
     assert errs[0] > errs[1] > errs[2]
+    # the default poly_bump phi lives on 179 of the 15^3 outer nodes
+    summary = read_json(out + ".summary.json")["summary"]
+    assert summary["outer_nodes"] == [179, 3375]
 
 
 def test_weakl1_run_and_determinism(tmp_path, measure_file, monkeypatch):

@@ -707,6 +707,119 @@ def test_boundary_convergence_heisenberg_monotone():
     assert errs[-1] < 0.25 * errs[0]
 
 
+def euclid_gaussian(n, width):
+    """exp(-|theta|^2 / (2 width^2)): no zero on a bounded grid."""
+    base = Polynomial(n, {tuple(2 * (j == k) for j in range(n)): 1.0
+                          for k in range(n)})
+    return SmoothField(base, gaussian_profile(1.0, width))
+
+
+@pytest.mark.parametrize("method", ["direct", "scaled"])
+def test_boundary_convergence_extends_only_where_phi_lives(monkeypatch,
+                                                            method):
+    # acceptance 09's Heisenberg outer grid: each extension receives the
+    # outer nodes with omega_{-mu} phi w != 0, and no other
+    outer = Grid([0.0] * 3, [2.1] * 3, [17] * 3)
+    T = DistributionRep(HEIS, HNORM, 1.0,
+                        [((1, 0, 0), heis_bump(1.2, (0.3, 0.2, -0.1)))],
+                        mu=0.0)
+    ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
+    phi = TestFunction(HEIS, heis_bump(2.0), "schwartz-like")
+    received = []
+
+    def spy(T, kernel, a, eta, *args, **kwargs):
+        received.append(np.array(eta))
+        return np.zeros(len(eta))
+
+    name = "poisson_extend_scaled" if method == "scaled" \
+        else "poisson_extend"
+    monkeypatch.setattr("nilharmonics.distributions." + name, spy)
+    out = boundary_convergence(
+        T, ker, phi, [1.0, 0.5], outer,
+        Grid([0.3, 0.2, -0.1], [1.3] * 3, [9] * 3), method=method)
+    q = weight_field(HNORM, -T.mu).eval(outer.flat_points) \
+        * phi(outer.flat_points)
+    live = q * outer.flat_weights != 0
+    assert out["outer_nodes"] == [1863, 4913] == [live.sum(), live.size]
+    assert len(received) == 2
+    for eta in received:
+        assert_array_equal(eta, outer.flat_points[live])
+
+
+def _full_grid_rows(T, ker, phi, a_list, outer, inner, method):
+    """The row values summed over every outer node, zeros included."""
+    wm_phi = weight_field(ker.norm, -T.mu).eval(outer.points) \
+        * phi(outer.points)
+    vals = []
+    for a in a_list:
+        ext = poisson_extend_scaled(T, ker, a, outer.points, count=11) \
+            if method == "scaled" \
+            else poisson_extend(T, ker, a, outer.points, inner)
+        vals.append(float(np.sum(ext * wm_phi * outer.weights)))
+    return vals
+
+
+_LINE_CASE = (LINE, LNORM, "classical_abelian", (1,), (0.3,),
+              Grid([0.0], [6.0], [61]), Grid([0.3], [3.0], [121]))
+_HEIS_CASE = (HEIS, HNORM, "model_power", (1, 0, 0), (0.3, 0.2, -0.1),
+              Grid([0.0] * 3, [2.1] * 3, [9] * 3),
+              Grid([0.3, 0.2, -0.1], [1.3] * 3, [9] * 3))
+
+
+@pytest.mark.parametrize("case", [_LINE_CASE, _HEIS_CASE],
+                         ids=["line", "heis"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["mu0", "muQG"])
+@pytest.mark.parametrize("method", ["direct", "scaled"])
+@pytest.mark.parametrize("phi_kind", ["bump", "gaussian"])
+def test_boundary_convergence_rows_match_full_grid(case, weighted, method,
+                                                   phi_kind):
+    # the skipped terms are exact zeros: the rows move only in summation
+    # order, and not at all when phi has no zero on the outer grid
+    spec, norm, family, alpha, shift, outer, inner = case
+    T = DistributionRep(spec, norm, 1.0, [(alpha, heis_bump(1.2, shift))],
+                        mu=None if weighted else 0.0)
+    ker = KernelSpec(spec, norm, family, Gamma=1.0)
+    phi = TestFunction(spec, heis_bump(1.5, (0.0,) * spec.n)
+                       if phi_kind == "bump" else euclid_gaussian(spec.n, 1.0))
+    a_list = [1.0, 0.5]
+    out = boundary_convergence(T, ker, phi, a_list, outer, inner,
+                               method=method, count=11)
+    got = [r[1] for r in out["rows"]]
+    want = _full_grid_rows(T, ker, phi, a_list, outer, inner, method)
+    assert all(v != 0 for v in want)
+    evaluated, total = out["outer_nodes"]
+    if phi_kind == "gaussian":
+        assert evaluated == total
+        assert got == want
+    else:
+        assert evaluated < total
+        assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_boundary_convergence_phi_off_the_outer_grid():
+    # no outer node carries weight: every row is 0.0, and nothing raises
+    ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
+    T = DistributionRep(HEIS, HNORM, 1.0, [((0, 0, 0), heis_bump(1.2))],
+                        mu=0.0)
+    phi = TestFunction(HEIS, heis_bump(0.5, (9.0, 0.0, 0.0)))
+    for method in ("direct", "scaled"):
+        out = boundary_convergence(
+            T, ker, phi, [1.0, 0.5], Grid([0.0] * 3, [2.1] * 3, [9] * 3),
+            Grid([0.0] * 3, [1.3] * 3, [9] * 3), method=method, count=11)
+        assert [r[1] for r in out["rows"]] == [0.0, 0.0]
+        assert out["outer_nodes"] == [0, 729]
+
+
+def test_boundary_convergence_refuses_a_repeated_scale():
+    T = DistributionRep(LINE, LNORM, 1.0, [((0,), line_gaussian())], mu=0.0)
+    ker = KernelSpec(LINE, LNORM, "classical_abelian")
+    phi = TestFunction(LINE, line_gaussian(2.0))
+    with pytest.raises(ValueError, match="repeated"):
+        boundary_convergence(T, ker, phi, [0.5, 0.25, 0.5],
+                             Grid([0.0], [8.0], [41]),
+                             Grid([0.0], [8.0], [41]))
+
+
 # -------------------------------------------------- witnesses / norms
 
 
