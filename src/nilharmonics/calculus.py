@@ -372,11 +372,40 @@ def integrate_by_parts_residual(spec, kind, alpha, f, g, grid):
     return float(abs(lhs - rhs))
 
 
+def _fd_words(words, F, etas):
+    """Each word applied by finite differences to the plain callable F at
+    etas, from one call of F on the distinct stencil points of all the
+    words.  Each word runs on an operand that records its arguments, then
+    on one that returns F's shared values at them, call by call, so no
+    overlap of the stencils is assumed."""
+    calls = []
+
+    def record(x):
+        calls.append(x)
+        return np.zeros(x.shape[:-1])
+
+    for word in words:
+        word.as_callable(record)(etas)
+    blocks = [x.reshape(-1, x.shape[-1]) for x in calls]
+    pts, inverse = np.unique(np.concatenate(blocks), axis=0,
+                             return_inverse=True)
+    vals = F(pts)[inverse.reshape(-1)]
+    replies = iter(np.split(vals, np.cumsum([len(b) for b in blocks])[:-1]))
+
+    def replay(x):
+        return next(replies).reshape(x.shape[:-1])
+
+    return [word.as_callable(replay)(etas) for word in words]
+
+
 def convolution_identity_residuals(spec, alpha, f, g, grid, etas):
     """Residuals of the four derivative-of-convolution identities
         X^a (f*g) = f * (X^a g),      Y^a (f*g) = (Y^a f) * g,
         (X^a f) * g = f * (Yt^a g),   (Xt^a f) * g = f * (Y^a g),
-    evaluated at the points etas."""
+    evaluated at the points etas.  X^a (f*g) and Y^a (f*g) are nested
+    finite-difference words over f*g, whose stencils are the same points
+    (X_j and Y_j differentiate along the same coordinates), so f*g is
+    convolved once, on the distinct points of both."""
     etas = np.asarray(etas, dtype=float)
 
     def conv(a, b):
@@ -385,14 +414,11 @@ def convolution_identity_residuals(spec, alpha, f, g, grid, etas):
     def word_of(kind, h):
         return OperatorWord(spec, kind, alpha).as_callable(h)
 
-    fg = conv(f, g)
+    x_fg, y_fg = _fd_words([OperatorWord(spec, kind, alpha)
+                            for kind in ("X", "Y")], conv(f, g), etas)
     res = {}
-    res["X(f*g)=f*Xg"] = np.max(np.abs(
-        OperatorWord(spec, "X", alpha).as_callable(fg)(etas)
-        - conv(f, word_of("X", g))(etas)))
-    res["Y(f*g)=Yf*g"] = np.max(np.abs(
-        OperatorWord(spec, "Y", alpha).as_callable(fg)(etas)
-        - conv(word_of("Y", f), g)(etas)))
+    res["X(f*g)=f*Xg"] = np.max(np.abs(x_fg - conv(f, word_of("X", g))(etas)))
+    res["Y(f*g)=Yf*g"] = np.max(np.abs(y_fg - conv(word_of("Y", f), g)(etas)))
     res["Xf*g=f*Ytg"] = np.max(np.abs(
         conv(word_of("X", f), g)(etas) - conv(f, word_of("Yt", g))(etas)))
     res["Xtf*g=f*Yg"] = np.max(np.abs(

@@ -255,7 +255,8 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
     outer nodes where omega_{-mu} phi times the weight is nonzero: T * P_a
     is evaluated there alone (outer_nodes = [evaluated, total]), as every
     other term is an exact 0.  Reports the fitted slope of log error
-    against log a; a repeated a is refused.  T * P_a tends to
+    against log a and whether the error falls strictly as a shrinks
+    (monotone); a repeated a is refused.  T * P_a tends to
     (int P) T: the limit takes kernel.mass unless kernel_mass is given."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -284,5 +285,5 @@ def boundary_convergence(T: DistributionRep, kernel: KernelSpec,
     slope = float(np.polyfit(np.log(a_arr[keep]), np.log(errs[keep]), 1)[0]) \
         if keep.sum() >= 2 else float("nan")
     return {"rows": rows, "slope": slope,
-            "monotone": bool(np.all(np.diff(errs[np.argsort(a_arr)]) >= 0)),
+            "monotone": bool(np.all(np.diff(errs[np.argsort(a_arr)]) > 0)),
             "outer_nodes": [int(live.sum()), int(live.size)]}

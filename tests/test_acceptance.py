@@ -1,10 +1,16 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
-single pass/fail line with its runtime against the stated budget."""
+single pass/fail line with its runtime against the stated budget and
+writing the same verdict, with its checks, to .benchmarks/acceptance/NN.json
+at the root of the repository."""
 
+import json
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.integrate as si
 from numpy.testing import assert_allclose
 
@@ -34,13 +40,35 @@ HEIS = heisenberg()
 HNORM = HomogeneousNorm(HEIS, "even-power")
 
 
+RESULTS = Path(__file__).resolve().parents[1] / ".benchmarks" / "acceptance"
+
+
 def _verdict(num, label, checks, elapsed, budget):
-    checks = dict(checks)
+    checks = {k: bool(v) for k, v in checks.items()}
     checks["within_budget"] = elapsed < budget
     ok = all(checks.values())
     print(f"acceptance {num:02d} {label}: {'PASS' if ok else 'FAIL'} "
           f"({elapsed:.1f}s / budget {budget:.0f}s)")
+    RESULTS.mkdir(parents=True, exist_ok=True)
+    (RESULTS / f"{num:02d}.json").write_text(json.dumps(
+        {"number": num, "label": label, "elapsed_s": elapsed,
+         "budget_s": budget, "pass": ok, "checks": checks},
+        allow_nan=False, indent=1) + "\n", encoding="utf-8")
     assert ok, {k: v for k, v in checks.items() if not v}
+
+
+def test_verdict_writes_strict_json(tmp_path, monkeypatch):
+    # a failing verdict is written too, before it fails the test
+    monkeypatch.setattr(sys.modules[__name__], "RESULTS", tmp_path / "acc")
+    _verdict(4, "label", {"a": np.True_}, 0.5, 3.0)
+    with pytest.raises(AssertionError):
+        _verdict(12, "late", {"a": True}, 4.0, 3.0)
+    assert sorted(p.name for p in (tmp_path / "acc").iterdir()) \
+        == ["04.json", "12.json"]
+    late = json.loads((tmp_path / "acc" / "12.json").read_text())
+    assert late == {"number": 12, "label": "late", "elapsed_s": 4.0,
+                    "budget_s": 3.0, "pass": False,
+                    "checks": {"a": True, "within_budget": False}}
 
 
 def line_gaussian(width=1.0, shift=0.0):

@@ -303,6 +303,68 @@ class TestCentralDifference:
             central_difference(lambda m: 0.0, 0.1, 3)
 
 
+def _smooth(x):
+    """A plain callable, rational in the coordinates, so that every value
+    is a fixed sequence of correctly rounded operations."""
+    r2 = sum(x[..., k] * x[..., k] for k in range(x.shape[-1]))
+    return (x[..., 0] - 0.5 * x[..., 1] * x[..., -1]) / (1.0 + r2)
+
+
+def _counting(F):
+    calls = []
+
+    def spy(x):
+        calls.append(np.shape(x))
+        return F(x)
+
+    return spy, calls
+
+
+class TestSharedStencils:
+    @pytest.mark.parametrize("G, alphas", [
+        (heisenberg(), [a for a in multi_indices_upto(3, 2) if sum(a)]),
+        (random_step2(3, 2, 11), [(1, 0, 1, 0, 0), (0, 1, 0, 0, 1)]),
+    ], ids=["heisenberg", "random_step2"])
+    def test_each_word_as_if_applied_alone(self, G, alphas):
+        # F is read once, and every word gets the values its own stencil
+        # would have read, bit for bit
+        etas = np.random.default_rng(3).uniform(-1.0, 1.0, (2, G.n))
+        for alpha in alphas:
+            words = [OperatorWord(G, kind, alpha)
+                     for kind in ("X", "Xt", "Y", "Yt")]
+            spy, calls = _counting(_smooth)
+            got = calculus._fd_words(words, spy, etas)
+            assert len(calls) == 1
+            for word, value in zip(words, got):
+                assert np.array_equal(value,
+                                      word.as_callable(_smooth)(etas))
+
+    def test_partial_overlap(self):
+        # X_1 moves along d1 and d3, Y_2 along d2 and d3: the 4 points of
+        # the d3 stencil are shared, so 16 stencil points are 12 distinct
+        G = heisenberg()
+        words = [OperatorWord(G, "X", (1, 0, 0)),
+                 OperatorWord(G, "Y", (0, 1, 0))]
+        etas = np.array([0.3, -0.2, 0.1])
+        spy, calls = _counting(_smooth)
+        got = calculus._fd_words(words, spy, etas)
+        assert calls == [(12, 3)]
+        for word, value in zip(words, got):
+            assert np.array_equal(value, word.as_callable(_smooth)(etas))
+
+    def test_zero_word_reads_F_at_etas(self):
+        G = heisenberg()
+        etas = np.array([[0.3, -0.2, 0.1], [0.0, 0.5, -0.4]])
+        spy, calls = _counting(_smooth)
+        zero, x1 = calculus._fd_words([OperatorWord(G, "X", (0, 0, 0)),
+                                       OperatorWord(G, "X", (1, 0, 0))],
+                                      spy, etas)
+        assert calls == [(18, 3)]
+        assert np.array_equal(zero, _smooth(etas))
+        assert np.array_equal(
+            x1, OperatorWord(G, "X", (1, 0, 0)).as_callable(_smooth)(etas))
+
+
 class TestFundlink:
     def test_abelian_collapse(self):
         G = abelian(2)
@@ -372,7 +434,8 @@ class TestIntegralIdentities:
     def test_convolution_identities_convolve_once_per_side(self,
                                                            monkeypatch):
         # each side of each identity is one convolve call, over every
-        # stencil point of a finite-difference word at once
+        # stencil point of a finite-difference word at once, and the two
+        # words over f*g share one call on the distinct points of both
         calls = []
 
         def spy(*args, **kwargs):
@@ -384,8 +447,8 @@ class TestIntegralIdentities:
             heisenberg(), (2, 0, 0), heis_bump((0.1, 0.0, 0.0), 1.5),
             heis_bump((0.0, -0.1, 0.1), 1.5), Grid([0.0] * 3, 2.1, 13),
             [[0.2, 0.1, -0.1]])
-        assert len(calls) == 8
-        assert sorted(calls)[-1] == (2, 4, 2, 4, 1, 3)
+        assert len(calls) == 7
+        assert sorted(calls) == [(1, 3)] * 6 + [(64, 3)]
         assert all(np.isfinite(v) for v in res.values())
 
     def test_convolution_identities_heisenberg(self):

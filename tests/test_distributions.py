@@ -797,7 +797,8 @@ def test_boundary_convergence_rows_match_full_grid(case, weighted, method,
 
 
 def test_boundary_convergence_phi_off_the_outer_grid():
-    # no outer node carries weight: every row is 0.0, and nothing raises
+    # no outer node carries weight: every row is 0.0, and nothing raises;
+    # an error that stays 0.0 does not fall, so the rows are not monotone
     ker = KernelSpec(HEIS, HNORM, "model_power", Gamma=1.0)
     T = DistributionRep(HEIS, HNORM, 1.0, [((0, 0, 0), heis_bump(1.2))],
                         mu=0.0)
@@ -808,6 +809,7 @@ def test_boundary_convergence_phi_off_the_outer_grid():
             Grid([0.0] * 3, [1.3] * 3, [9] * 3), method=method, count=11)
         assert [r[1] for r in out["rows"]] == [0.0, 0.0]
         assert out["outer_nodes"] == [0, 729]
+        assert out["monotone"] is False
 
 
 def test_boundary_convergence_refuses_a_repeated_scale():
